@@ -17,6 +17,7 @@ assume the input came from the builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -38,8 +39,12 @@ class AvgFreeSet:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _member_set(self) -> frozenset[Vector]:
+        return frozenset(self.members)
+
     def __contains__(self, v) -> bool:
-        return tuple(v) in set(self.members)
+        return tuple(v) in self._member_set
 
 
 def build_avg_free_set(ell: int, d: int, budget: Budget | None = None) -> AvgFreeSet:

@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_toy(raw: str, r: int) -> ToyParams | None:
+def _parse_toy(raw: str, r: int) -> list[tuple[int, int]]:
     levels = []
     for part in raw.split(";"):
         bits = part.split(",")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 from .avgfree import AvgFreeSet, Vector, build_avg_free_set
 from .budgets import Budget, default_budget

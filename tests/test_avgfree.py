@@ -78,6 +78,8 @@ def test_build_properties(ell, d):
     assert all(len(v) == d and all(1 <= c <= ell for c in v) for v in a.members)
     assert len(set(a.members)) == a.size
     assert all(sum(c * c for c in v) == a.norm_sq for v in a.members)
+    assert all(v in a and list(v) in a for v in a.members)
+    assert (0,) * d not in a and (ell + 1,) * d not in a
     assert verify_avg_free(a, 4)
 
 
