@@ -76,13 +76,6 @@ class LayeredGraph:
         """Every edge joins consecutive layers."""
         return all(abs(u[0] - v[0]) == 1 for u, v in self.edges)
 
-    def adjacency(self) -> dict[Vertex, set[Vertex]]:
-        adj: dict[Vertex, set[Vertex]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return adj
-
     def flat_id(self, v: Vertex) -> int:
         return (v[0] - 1) * self.layer_size + v[1]
 
@@ -123,9 +116,6 @@ class Upc:
 
     def finals(self) -> list[Vertex]:
         return [p.final for p in self.paths]
-
-    def path_vertices(self) -> set[Vertex]:
-        return {v for p in self.paths for v in p.vertices}
 
 
 @dataclass(frozen=True)

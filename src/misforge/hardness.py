@@ -19,6 +19,12 @@ the left copy on layers 1..2^r and the right copy on layers
 2^r+1..2^(r+1).  Block vertex (u, x) of outer vertex u and inner index
 x is (layer, u_index * w + x) with w the inner layer width.
 
+Storage: each player's edges are one sorted (m, 2) int64 array of flat
+ids (layer - 1) * layer_size + idx, smaller id first; nothing else stores
+an edge.  Assembly, checks, misr I/O and edge streams work on these
+arrays; ``inst.players[a]`` and ``inst.graph.edges`` are read-only set
+views over them (O(1) ``len``, (layer, idx) tuple pairs on iteration).
+
 Sampling is driven by a counter-based generator keyed by the position
 in the recursion tree, so resampling one sub-instance never perturbs
 any other: substream (i, j) of a node extends the node's key.
@@ -28,8 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import IO, Mapping
+from functools import cached_property
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -38,10 +48,10 @@ from .dupgraph import (
     DupGraph,
     Edge,
     LayeredGraph,
+    LayeredPath,
     Vertex,
     build_dup,
     build_dup_from_size,
-    make_edge,
     pad_dup,
 )
 from .errors import (
@@ -185,17 +195,88 @@ def plan_levels(params: ParamTable | ToyParams, budget: Budget | None = None) ->
     return plans
 
 
-@dataclass(frozen=True)
+def _keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per edge, ordered as the edges' (u, v) pairs."""
+    return edges[:, 0] * n + edges[:, 1]
+
+
+def _ascending(keys: np.ndarray) -> bool:
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+def _pairs(edges: np.ndarray, layer_size: int) -> Iterator[Edge]:
+    """Flat-id edges as ((layer, idx), (layer, idx)) pairs."""
+    for u, v in edges.tolist():
+        yield (u // layer_size + 1, u % layer_size), (v // layer_size + 1, v % layer_size)
+
+
+class EdgeView(AbstractSet):
+    """A read-only set of ``(layer, idx)`` edge pairs over disjoint ``(m, 2)``
+    flat-id arrays, each sorted by (u, v) with u < v.  ``len`` touches no
+    edge, membership is a binary search, and only iteration builds tuple
+    pairs.  Set operations with other sets return frozensets."""
+
+    def __init__(self, parts: tuple[np.ndarray, ...], layer_size: int, n: int):
+        self.parts, self.layer_size, self.n = parts, layer_size, n
+        self._sorted_keys: np.ndarray | None = None     # built on the first lookup
+
+    _from_iterable = frozenset      # what the Set mixin methods build
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.parts)
+
+    def __iter__(self) -> Iterator[Edge]:
+        for part in self.parts:
+            yield from _pairs(part, self.layer_size)
+
+    def __contains__(self, edge) -> bool:
+        size, n = self.layer_size, self.n
+        try:
+            (la, xa), (lb, xb) = edge
+            u, v = (la - 1) * size + xa, (lb - 1) * size + xb
+            if not (0 <= xa < size and 0 <= xb < size and 0 <= u < v < n):
+                return False
+        except (TypeError, ValueError):
+            return False
+        if self._sorted_keys is None:
+            self._sorted_keys = np.sort(np.concatenate([_keys(p, n) for p in self.parts]))
+        i = np.searchsorted(self._sorted_keys, u * n + v)
+        return bool(i < len(self._sorted_keys) and self._sorted_keys[i] == u * n + v)
+
+
+def _path_lut(path: LayeredPath, w: int, layer_size: int) -> np.ndarray:
+    """Left-copy flat id of every flat id of the sub-instance embedded
+    along ``path``.  Increasing, so it keeps sorted edge arrays sorted."""
+    starts = [(layer - 1) * layer_size + u_idx * w for layer, u_idx in path.vertices]
+    return (np.array(starts, dtype=np.int64)[:, None] + np.arange(w)).ravel()
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
+    """A hard instance; ``player_edges[a]`` holds player a+1's edges (see
+    the module docstring), ``graph.edges`` and ``players[a]`` view them."""
+
     r: int
-    graph: LayeredGraph
-    players: tuple[frozenset[Edge], ...]
-    t: int | None
-    dup: DupGraph | None
-    inner_layer_size: int | None
-    subinstances: tuple[tuple["Instance", ...], ...] | None
-    base_bits: str | None
-    provenance: Mapping[Edge, tuple[str, int, int]] | None
+    player_edges: tuple[np.ndarray, ...]
+    t: int | None = None
+    dup: DupGraph | None = None
+    inner_layer_size: int | None = None
+    subinstances: tuple[tuple["Instance", ...], ...] | None = None
+    base_bits: str | None = None
+
+    @cached_property
+    def graph(self) -> LayeredGraph:
+        if self.dup is None:
+            layers, size = 2, len(self.base_bits)
+        else:
+            layers = 2 * self.dup.graph.num_layers
+            size = self.dup.graph.layer_size * self.inner_layer_size
+        return LayeredGraph(layers, size, EdgeView(self.player_edges, size, layers * size))
+
+    @cached_property
+    def players(self) -> tuple[EdgeView, ...]:
+        g = self.graph
+        return tuple(EdgeView((part,), g.layer_size, g.n_vertices) for part in self.player_edges)
 
     @property
     def q_achieved(self) -> int:
@@ -218,108 +299,86 @@ class Instance:
         layer, idx = v
         return (layer + half, idx) if layer <= half else (layer - half, idx)
 
-    def special_dup_vertices(self) -> set[Vertex]:
-        return {v for path in self.dup.upcs[self.t - 1].paths for v in path.vertices}
-
-    def _side_offset(self, side: str) -> int:
+    def _special_blocks(self, side: str, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The j-th special block subgraph of one copy in flat ids: its
+        vertices, and sub-instance (t, j)'s edges mapped onto them."""
         if side not in ("L", "R"):
             raise InvalidInputError(f"side must be 'L' or 'R', got {side!r}")
-        return 0 if side == "L" else self.half_layers
+        size = self.graph.layer_size
+        lut = _path_lut(self.dup.upcs[self.t - 1].paths[j - 1], self.inner_layer_size, size)
+        lut += (side == "R") * self.half_layers * size
+        return lut, lut[np.concatenate(self.subinstance(self.t, j).player_edges)]
 
     def special_subgraph(self, side: str, j: int) -> Subgraph:
         """The j-th special block subgraph of one copy, as a vertex/edge view."""
-        off = self._side_offset(side)
-        w = self.inner_layer_size
-        path = self.dup.upcs[self.t - 1].paths[j - 1]
-        verts = frozenset(
-            (layer + off, u_idx * w + x) for layer, u_idx in path.vertices for x in range(w)
-        )
-        edges = frozenset(
-            e
-            for e, (s, i, jj) in self.provenance.items()
-            if s == side and i == self.t and jj == j
-        )
-        return Subgraph(vertices=verts, edges=edges)
+        verts, edges = self._special_blocks(side, j)
+        return Subgraph(vertices=frozenset(map(self.graph.unflat, verts.tolist())),
+                        edges=frozenset(_pairs(edges, self.graph.layer_size)))
 
     def pullback_special(self, side: str, j: int, vertices) -> frozenset:
         """Map block vertices of a special subgraph back to inner vertices."""
-        off = self._side_offset(side)
-        w = self.inner_layer_size
-        path = self.dup.upcs[self.t - 1].paths[j - 1]
-        inner = set()
-        for layer, idx in vertices:
-            in_layer = layer - off
-            if not 1 <= in_layer <= self.half_layers:
-                raise InvalidInputError(f"vertex {(layer, idx)} is not on side {side}")
-            u_idx = path.vertices[in_layer - 1][1]
-            x = idx - u_idx * w
-            if not 0 <= x < w:
-                raise InvalidInputError(f"vertex {(layer, idx)} is outside block {j}")
-            inner.add((in_layer, x))
-        return frozenset(inner)
+        g, sub = self.graph, self.subinstance(self.t, j).graph
+        inner = {f: k for k, f in enumerate(self._special_blocks(side, j)[0].tolist())}
+        try:
+            return frozenset(sub.unflat(inner[g.flat_id(v) if g.has_vertex(v) else -1])
+                             for v in vertices)
+        except KeyError:
+            raise InvalidInputError(f"a vertex is outside block {j} of side {side}") from None
+
+
+def _base_edges(bits: str) -> np.ndarray:
+    """Slot i's edge (1, i)-(2, i) for every 1 bit, in flat ids."""
+    edges = [(i, len(bits) + i) for i, c in enumerate(bits) if c == "1"]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _base_instance(n_0: int, bits: str) -> Instance:
     _check_n0(n_0)
     if len(bits) != n_0 // 2 or any(c not in "01" for c in bits):
         raise InvalidInputError(f"need {n_0 // 2} bits, got {bits!r}")
-    edges = frozenset(
-        make_edge((1, i), (2, i)) for i, c in enumerate(bits) if c == "1"
-    )
-    graph = LayeredGraph(num_layers=2, layer_size=n_0 // 2, edges=edges)
-    return Instance(
-        r=0, graph=graph, players=(edges,), t=None, dup=None,
-        inner_layer_size=None, subinstances=None, base_bits=bits, provenance=None,
-    )
+    return Instance(r=0, player_edges=(_base_edges(bits),), base_bits=bits)
 
 
-def _nonspecial_blocks(dup: DupGraph, t: int, w: int) -> tuple[list[Vertex], list[Vertex]]:
-    half = dup.graph.num_layers
+def _nonspecial_left(dup: DupGraph, t: int, w: int) -> np.ndarray:
+    """Sorted left-copy flat ids of the block vertices off collection t's
+    paths; adding half the layers' ids gives their right-copy mirrors."""
     b = dup.graph.layer_size
-    special = {v for path in dup.upcs[t - 1].paths for v in path.vertices}
-    left, right = [], []
-    for layer in range(1, half + 1):
-        for u_idx in range(b):
-            if (layer, u_idx) in special:
-                continue
-            for x in range(w):
-                left.append((layer, u_idx * w + x))
-                right.append((layer + half, u_idx * w + x))
-    return left, right
+    keep = np.ones((dup.graph.num_layers, b), dtype=bool)
+    layer, u_idx = np.array([v for path in dup.upcs[t - 1].paths for v in path.vertices]).T
+    keep[layer - 1, u_idx] = False
+    layer0, u_idx = np.nonzero(keep)
+    return (((layer0 * b + u_idx) * w)[:, None] + np.arange(w)).ravel()
+
+
+def _embedded_players(dup: DupGraph, w: int,
+                      subs: tuple[tuple[Instance, ...], ...]) -> list[np.ndarray]:
+    """Every player's edges but the join's: each sub-instance's player a,
+    mapped along its collection path into the left copy, sorted, then the
+    same edges shifted into the right copy (all of whose ids are larger)."""
+    layer_size = dup.graph.layer_size * w
+    mapped = []         # per sub-instance, its players' edges in left-copy ids
+    for upc, row in zip(dup.upcs, subs):
+        for path, sub in zip(upc.paths, row):
+            lut = _path_lut(path, w, layer_size)
+            mapped.append([lut[edges] for edges in sub.player_edges])
+    players = []
+    for parts in zip(*mapped):      # one player's edges from every sub-instance
+        left = np.concatenate(parts)
+        left = left[np.lexsort((left[:, 1], left[:, 0]))]
+        players.append(np.concatenate([left, left + dup.graph.num_layers * layer_size]))
+    return players
 
 
 def _assemble(level: int, dup: DupGraph, w: int,
               subs: tuple[tuple[Instance, ...], ...], t: int) -> Instance:
-    half = dup.graph.num_layers
-    layer_size = dup.graph.layer_size * w
-    players: list[set[Edge]] = [set() for _ in range(level + 1)]
-    prov: dict[Edge, tuple[str, int, int]] = {}
-    for i0, row in enumerate(subs):
-        upc = dup.upcs[i0]
-        for j0, sub in enumerate(row):
-            path = upc.paths[j0]
-            for a, edge_set in enumerate(sub.players):
-                for (la, xa), (lb, xb) in edge_set:
-                    ua = path.vertices[la - 1][1]
-                    ub = path.vertices[lb - 1][1]
-                    for off, side in ((0, "L"), (half, "R")):
-                        e = make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))
-                        if e in prov:
-                            raise InvalidInputError(
-                                f"block collision at {e}; collection graph is invalid"
-                            )
-                        players[a].add(e)
-                        prov[e] = (side, i0 + 1, j0 + 1)
-    left, right = _nonspecial_blocks(dup, t, w)
-    clique = {make_edge(u, v) for u in left for v in right}
-    players[level] = clique
-    all_edges = frozenset().union(*players) if players else frozenset()
-    graph = LayeredGraph(num_layers=2 * half, layer_size=layer_size, edges=all_edges)
-    return Instance(
-        r=level, graph=graph, players=tuple(frozenset(s) for s in players),
-        t=t, dup=dup, inner_layer_size=w,
-        subinstances=subs, base_bits=None, provenance=prov,
-    )
+    # edge-disjoint collections of vertex-disjoint paths map no two edges to one
+    players = _embedded_players(dup, w, subs)
+    # the join L x R; every left id is below every right id, so it comes out sorted
+    left = _nonspecial_left(dup, t, w)
+    right = left + dup.graph.num_layers * dup.graph.layer_size * w
+    players.append(np.column_stack([np.repeat(left, len(right)), np.tile(right, len(left))]))
+    return Instance(r=level, player_edges=tuple(players), t=t, dup=dup,
+                    inner_layer_size=w, subinstances=subs)
 
 
 # -- sampling ---------------------------------------------------------------
@@ -374,6 +433,9 @@ def build_instance(plans: list[LevelPlan], n_0: int, tree: dict) -> Instance:
         if len(subs_node) != q or any(len(row) != p for row in subs_node):
             raise FormatError(f"level {level} sub-tree is not {q} x {p}")
         subs = tuple(tuple(build(level - 1, cell) for cell in row) for row in subs_node)
+        if subs[0][0].graph.layer_size != plan.w:
+            raise FormatError(f"level {level}: inner width {plan.w!r} is not the level-"
+                              f"{level - 1} layer size {subs[0][0].graph.layer_size}")
         return _assemble(level, plan.dup, plan.w, subs, t)
 
     return build(len(plans), tree)
@@ -390,107 +452,75 @@ def sample_instance(r: int, params: ParamTable | ToyParams, seed: int,
 
 def sample_base_instance(n_0: int, seed: int) -> Instance:
     _check_n0(n_0)
-    tree = sample_tree([], n_0, seed)
-    return _base_instance(n_0, tree["bits"])
+    return _base_instance(n_0, sample_tree([], n_0, seed)["bits"])
 
 
 # -- structural properties ---------------------------------------------------
 
 
-def special_subgraphs(inst: Instance, side: str) -> list[Subgraph]:
-    return [inst.special_subgraph(side, j) for j in range(1, inst.p_achieved + 1)]
-
-
 def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport:
-    """Named structural checks, recursing into every sub-instance."""
+    """Named structural checks, recursing into every sub-instance.
+
+    Every check compares flat-id arrays.  Edges are handled as keys
+    u * n + v, so sorting keys sorts edges by (u, v)."""
     report = VerificationReport()
 
     def walk(node: Instance, prefix: str) -> None:
-        g = node.graph
-        report.add(prefix + "layering", g.well_formed(), "malformed layered graph")
-        covered: dict[Edge, int] = {}
-        for part in node.players:
-            for e in part:
-                covered[e] = covered.get(e, 0) + 1
-        report.add(
-            prefix + "player_partition",
-            set(covered) == set(g.edges) and all(c == 1 for c in covered.values()),
-            "player edge sets do not partition the graph",
-        )
+        g, parts = node.graph, node.player_edges
+        n, size = g.n_vertices, g.layer_size
+        u, v = np.concatenate(parts).T
+        layering = bool(np.all((0 <= u) & (u < v) & (v < n) & (u // size != v // size))
+                        and all(_ascending(_keys(p, n)) for p in parts))
+        report.add(prefix + "layering", layering,
+                   "malformed layered graph, or a player's edges are not sorted")
+        if not layering:
+            return      # every check below indexes by vertex id
+        every = np.sort(np.concatenate([_keys(p, n) for p in parts]))
+        report.add(prefix + "player_partition", _ascending(every),
+                   "player edge sets do not partition the graph")
         if node.r == 0:
             report.add(prefix + "base_shape",
-                       g.num_layers == 2 and len(node.players) == 1
-                       and node.base_bits is not None
-                       and g.edges == frozenset(
-                           make_edge((1, i), (2, i))
-                           for i, c in enumerate(node.base_bits) if c == "1"),
+                       g.num_layers == 2 and len(parts) == 1 and node.base_bits is not None
+                       and np.array_equal(parts[0], _base_edges(node.base_bits)),
                        "base instance disagrees with its bits")
             return
         report.add(prefix + "layer_count", g.num_layers == 2 ** (node.r + 1),
                    f"expected {2 ** (node.r + 1)} layers")
-        report.add(prefix + "player_count", len(node.players) == node.r + 1,
+        report.add(prefix + "player_count", len(parts) == node.r + 1,
                    f"expected {node.r + 1} players")
 
-        half = node.half_layers
-        left_edges = {
-            e for e, (s, _, _) in node.provenance.items() if s == "L"
-        }
-        right_edges = {
-            e for e, (s, _, _) in node.provenance.items() if s == "R"
-        }
-        mirrored = {
-            make_edge(node.copy_map(u), node.copy_map(v)) for u, v in left_edges
-        }
-        report.add(prefix + "copies_identical", mirrored == right_edges,
+        # the right copy is the left one shifted by `shift` ids
+        shift = node.half_layers * size
+        u, v = np.divmod(every, n)
+        report.add(prefix + "copies_identical",
+                   np.array_equal(every[v < shift] + shift * (n + 1), every[u >= shift]),
                    "the two copies differ")
 
-        specials = {
-            side: special_subgraphs(node, side) for side in ("L", "R")
-        }
-        all_special_verts: set[Vertex] = set()
-        disjoint = True
-        for side in ("L", "R"):
-            for sub in specials[side]:
-                if all_special_verts & sub.vertices:
-                    disjoint = False
-                all_special_verts |= sub.vertices
-        report.add(prefix + "special_disjoint", disjoint,
+        blocks = [node._special_blocks(side, j)
+                  for side in ("L", "R") for j in range(1, node.p_achieved + 1)]
+        special = np.concatenate([verts for verts, _ in blocks])
+        report.add(prefix + "special_disjoint", len(np.unique(special)) == len(special),
                    "special blocks overlap")
-
-        induced = {
-            e for e in g.edges if e[0] in all_special_verts and e[1] in all_special_verts
-        }
-        union_special = frozenset(
-            e for side in ("L", "R") for sub in specials[side] for e in sub.edges
-        )
-        report.add(prefix + "special_induced", induced == union_special,
+        inside = np.zeros(n, dtype=bool)
+        inside[special] = True
+        union_special = np.sort(np.concatenate([_keys(edges, n) for _, edges in blocks]))
+        report.add(prefix + "special_induced",
+                   np.array_equal(every[inside[u] & inside[v]], union_special),
                    "induced subgraph on special blocks has foreign or missing edges")
 
-        rebuilt: list[set[Edge]] = [set() for _ in range(node.r)]
         w = node.inner_layer_size
-        for i in range(1, node.q_achieved + 1):
-            for j in range(1, node.p_achieved + 1):
-                path = node.dup.upcs[i - 1].paths[j - 1]
-                sub = node.subinstance(i, j)
-                for a, edge_set in enumerate(sub.players):
-                    for (la, xa), (lb, xb) in edge_set:
-                        ua = path.vertices[la - 1][1]
-                        ub = path.vertices[lb - 1][1]
-                        for off in (0, half):
-                            rebuilt[a].add(
-                                make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))
-                            )
+        rebuilt = _embedded_players(node.dup, w, node.subinstances)
         for a in range(node.r):
             report.add(prefix + f"player_{a + 1}_from_subparts",
-                       rebuilt[a] == set(node.players[a]),
+                       a < len(parts) - 1 and np.array_equal(rebuilt[a], parts[a]),
                        "player input is not a function of its inner parts")
-        left, right = _nonspecial_blocks(node.dup, node.t, w)
-        clique = {make_edge(u, v) for u in left for v in right}
-        report.add(prefix + "join_from_t", clique == set(node.players[-1]),
+        left, join = _nonspecial_left(node.dup, node.t, w), parts[-1]
+        # |L| * |R| pairs from L x R, distinct as the array is sorted: all of L x R
+        sized = len(join) == len(left) ** 2
+        in_blocks = np.isin(join[:, 0], left).all() and np.isin(join[:, 1], left + shift).all()
+        report.add(prefix + "join_from_t", sized and bool(in_blocks),
                    "cross-copy join is not a function of t")
-        report.add(prefix + "join_count",
-                   len(node.players[-1]) == len(left) * len(right),
-                   "cross-copy join has the wrong size")
+        report.add(prefix + "join_count", sized, "cross-copy join has the wrong size")
         if recurse:
             for i in range(1, node.q_achieved + 1):
                 for j in range(1, node.p_achieved + 1):
@@ -520,37 +550,33 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
 
 
 def _levels_meta(inst: Instance) -> list[dict]:
-    levels = []
-    cur = inst
+    levels, cur = [], inst
     while cur.r >= 1:
         dp = cur.dup.params
-        levels.append(
-            {
-                "j": cur.r,
-                "ell": dp.ell,
-                "d": dp.d,
-                "k": dp.k,
-                "b": cur.dup.graph.layer_size,
-                "w": cur.inner_layer_size,
-                "p": dp.p,
-                "q": dp.q,
-            }
-        )
+        levels.append({"j": cur.r, "ell": dp.ell, "d": dp.d, "k": dp.k,
+                       "b": cur.dup.graph.layer_size, "w": cur.inner_layer_size,
+                       "p": dp.p, "q": dp.q})
         cur = cur.subinstance(1, 1)
-    levels.reverse()
-    return levels
+    return levels[::-1]
 
 
 def _tree_of(inst: Instance) -> dict:
     if inst.r == 0:
         return {"bits": inst.base_bits}
-    return {
-        "t": inst.t,
-        "subs": [
-            [_tree_of(inst.subinstance(i, j)) for j in range(1, inst.p_achieved + 1)]
-            for i in range(1, inst.q_achieved + 1)
-        ],
-    }
+    return {"t": inst.t, "subs": [[_tree_of(sub) for sub in row] for row in inst.subinstances]}
+
+
+def _format_edges(edges: np.ndarray) -> str:
+    """misr lines "u v\\n" of an (m, 2) array of non-negative ids: one
+    str.join per run of equal u, over " v\\n" strings made once per id."""
+    if not len(edges):
+        return ""
+    tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
+    vs = tails[edges[:, 1]].tolist()
+    u = edges[:, 0]
+    cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
+    heads = map(str, u[cuts[:-1]].tolist())     # u once per run, then " v\n" each
+    return "".join(h + h.join(vs[a:b]) for h, a, b in zip(heads, cuts, cuts[1:]))
 
 
 def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
@@ -558,23 +584,15 @@ def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
     base = inst
     while base.r >= 1:
         base = base.subinstance(1, 1)
-    meta = {
-        "version": 1,
-        "r": inst.r,
-        "seed": seed,
-        "mode": mode,
-        "n0": base.graph.layer_size * 2,
-        "levels": _levels_meta(inst),
-        "tree": _tree_of(inst),
-    }
+    meta = {"version": 1, "r": inst.r, "seed": seed, "mode": mode,
+            "n0": base.graph.layer_size * 2, "levels": _levels_meta(inst),
+            "tree": _tree_of(inst)}
     if extra:
         meta.update(extra)
     fh.write("misr 1\n")
     fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-    for a, part in enumerate(inst.players, start=1):
-        fh.write(f"player {a}\n")
-        for u, v in sorted((inst.graph.flat_id(x), inst.graph.flat_id(y)) for x, y in part):
-            fh.write(f"{u} {v}\n")
+    for a, edges in enumerate(inst.player_edges, start=1):
+        fh.writelines((f"player {a}\n", _format_edges(edges)))
     fh.write("end\n")
 
 
@@ -582,29 +600,46 @@ def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
 class ReadInstance:
     instance: Instance
     meta: dict
-    stored_players: tuple[tuple[tuple[int, int], ...], ...]
+    stored_players: tuple[np.ndarray, ...]     # each section as read, (m, 2) int64
 
     @property
     def matches(self) -> bool:
-        rebuilt = tuple(
-            tuple(
-                sorted(
-                    (self.instance.graph.flat_id(u), self.instance.graph.flat_id(v))
-                    for u, v in part
-                )
-            )
-            for part in self.instance.players
-        )
-        return rebuilt == tuple(tuple(p) for p in self.stored_players)
+        stored, rebuilt = self.stored_players, self.instance.player_edges
+        return len(stored) == len(rebuilt) and all(map(np.array_equal, stored, rebuilt))
+
+
+def _parse_section(text: str) -> np.ndarray:
+    """A section's "u v" lines as an (m, 2) int64 array: in one call if the
+    text is in the form ``write_instance`` produces, else line by line."""
+    with warnings.catch_warnings():
+        # text fromstring cannot read to its end warns (or, later, raises)
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            ids = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError:
+            ids = None
+    if ids is not None and len(ids) % 2 == 0 and ids.min(initial=0) >= 0:
+        edges = ids.reshape(-1, 2)
+        if _format_edges(edges) == text:
+            return edges
+    lines = [ln.split() for ln in text.split("\n") if ln.strip()]
+    for parts in lines:
+        if len(parts) != 2:
+            raise FormatError(f"unexpected line {' '.join(parts)!r}")
+    try:
+        return np.array(lines, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"vertex ids must be 64-bit integers: {exc}") from exc
 
 
 def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
-    lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if len(lines) < 3 or lines[0].strip() != "misr 1" or lines[-1].strip() != "end":
+    head, _, rest = fh.read().lstrip().partition("\n")
+    meta_line, _, rest = rest.lstrip().partition("\n")
+    body, _, last = rest.rstrip().rpartition("\n")
+    if head.strip() != "misr 1" or last.strip() != "end":
         raise FormatError("not a misr v1 file")
     try:
-        meta = json.loads(lines[1])
+        meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad metadata: {exc}") from exc
     for key in ("r", "n0", "levels", "tree"):
@@ -626,25 +661,23 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
             raise FormatError(f"level {lvl['j']} must use k = 2^j - 1")
         plans.append(LevelPlan(j=lvl["j"], dup=dup, w=lvl["w"]))
     inst = build_instance(plans, n0, meta["tree"])
-    sections: list[list[tuple[int, int]]] = []
-    current: list[tuple[int, int]] | None = None
-    for ln in lines[2:-1]:
-        parts = ln.split()
-        if parts[0] == "player":
-            if len(parts) != 2 or int(parts[1]) != len(sections) + 1:
-                raise FormatError(f"unexpected section header {ln!r}")
-            current = []
-            sections.append(current)
-        else:
-            if current is None or len(parts) != 2:
-                raise FormatError(f"unexpected line {ln!r}")
-            current.append((int(parts[0]), int(parts[1])))
-    if len(sections) != len(inst.players):
+    # split before every line whose first token is "player"; each chunk then
+    # lacks the newline that ended it
+    preamble, *chunks = re.split(r"\n(?=[^\S\n]*player\b)", "\n" + body)
+    if preamble.strip():
+        raise FormatError(f"unexpected line {preamble.strip().splitlines()[0]!r}")
+    sections = []
+    for k, chunk in enumerate(chunks, start=1):
+        header, _, edges = chunk.partition("\n")
+        parts = header.split()
+        try:
+            if parts[0] != "player" or len(parts) != 2 or int(parts[1]) != k:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"unexpected section header {header!r}") from None
+        sections.append(_parse_section(edges + "\n" if edges else ""))
+    if len(sections) != len(inst.player_edges):
         raise FormatError(
-            f"expected {len(inst.players)} player sections, found {len(sections)}"
+            f"expected {len(inst.player_edges)} player sections, found {len(sections)}"
         )
-    return ReadInstance(
-        instance=inst,
-        meta=meta,
-        stored_players=tuple(tuple(s) for s in sections),
-    )
+    return ReadInstance(instance=inst, meta=meta, stored_players=tuple(sections))

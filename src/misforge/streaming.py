@@ -39,7 +39,7 @@ from typing import IO, Callable, ClassVar, Iterable
 import numpy as np
 
 from .errors import InvalidInputError, MisforgeError, ScheduleError
-from .hardness import Instance
+from .hardness import Instance, ToyParams, sample_instance
 from .oracle import is_mis
 
 FlatEdge = tuple[int, int]
@@ -111,23 +111,11 @@ class EdgeStream:
     @classmethod
     def from_instance(cls, inst: Instance, order: str = "player",
                       seed: int | None = None) -> "EdgeStream":
-        """Each player's edges as (smaller, larger) flat-id pairs, sorted."""
-        g = inst.graph
-        per_player = []
-        for part in inst.players:
-            # ((layer, idx), (layer, idx)) per edge -> flat (layer - 1) * size + idx,
-            # in place: the join player holds nearly every edge of the instance
-            ends = np.fromiter(chain.from_iterable(chain.from_iterable(part)),
-                               dtype=np.int64, count=4 * len(part)).reshape(-1, 2, 2)
-            flat = ends[:, :, 0] - 1
-            flat *= g.layer_size
-            flat += ends[:, :, 1]
-            del ends
-            flat.sort(axis=1)
-            per_player.append(flat[np.argsort(flat[:, 0] * g.n_vertices + flat[:, 1])])
+        """Each player's edges as (smaller, larger) flat-id pairs, sorted:
+        the instance's own player arrays, shared, not copied."""
         if order == "player":
-            return cls(per_player)
-        return cls.from_edges(np.concatenate(per_player), order=order, seed=seed)
+            return cls(inst.player_edges)
+        return cls.from_edges(np.concatenate(inst.player_edges), order=order, seed=seed)
 
     def check(self, n: int) -> None:
         """Raise InvalidInputError unless every id is in [0, n) and no edge
@@ -300,11 +288,11 @@ def parse_schedule(schedule: list, n: int) -> list:
 class ResidualSparsityMIS:
     """Phased sampling: solve a shrinking random sample, retire its neighbors.
 
-    Each phase stores only edges inside the current sample plus edges
-    from the sample to already chosen vertices, runs a random-order
-    greedy respecting prior choices, then spends one more pass retiring
-    neighbors.  The final phase samples every still-alive vertex, so no
-    retirement pass is needed after it.
+    Each phase stores only edges inside the current sample of alive
+    vertices (none is adjacent to an earlier choice: the retire passes made
+    those OUT), runs a random-order greedy on them, then spends one more
+    pass retiring neighbors.  The final phase samples every still-alive
+    vertex, so no retirement pass is needed after it.
     """
 
     name = "residual"
@@ -346,11 +334,8 @@ class ResidualSparsityMIS:
 
     def feed(self, section: np.ndarray) -> None:
         if self.mode == "store":
-            u, v = section[:, 0], section[:, 1]
-            u_in, v_in = self.sampled[u], self.sampled[v]
-            chosen = self.status == IN_MIS
-            keep = (u_in & v_in) | (u_in & chosen[v]) | (v_in & chosen[u])
-            self.stored.append(section[keep])
+            self.stored.append(section[self.sampled[section[:, 0]]
+                                       & self.sampled[section[:, 1]]])
         else:
             _retire(self.status, self.newly, section)
 
@@ -358,16 +343,10 @@ class ResidualSparsityMIS:
         if self.mode == "store":
             # words only grow during a store pass, so its end is the phase's peak
             self._phase_peak = self.current_words
-            stored = _stack(self.stored)
-            u, v = stored[:, 0], stored[:, 1]
-            inside = self.sampled[u] & self.sampled[v]
-            # an edge leaving the sample ends at a chosen vertex: block its sampled end
-            blocked = np.zeros(self.n, dtype=bool)
-            out_u, out_v = u[~inside], v[~inside]
-            blocked[np.where(self.sampled[out_u], out_u, out_v)] = True
             members = np.flatnonzero(self.sampled)
             order = self.rng.permutation(len(members))
-            self.newly = _greedy(members[order], stored[inside], blocked)
+            self.newly = _greedy(members[order], _stack(self.stored),
+                                 np.zeros(self.n, dtype=bool))
             self.status[self.sampled] = OUT
             self.status[self.newly] = IN_MIS
             self.stored = []
@@ -591,8 +570,6 @@ BENCH_FIELDS = ("n", "r", "algorithm", "passes", "peak_words", "cc_bits", "mis_v
 
 
 def _bench_graph(entry: dict, budget=None):
-    from .hardness import ToyParams, sample_instance
-
     kind = entry.get("kind")
     if kind == "gnp":
         g = gnp_graph(entry["n"], entry["p"], entry.get("graph_seed", 0))
@@ -614,22 +591,21 @@ def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
     rows = []
     for entry in instances:
         gnp, inst = _bench_graph(entry, budget)
+        if inst is not None:
+            n, r_field = inst.graph.n_vertices, inst.r
+            edges = EdgeStream.from_instance(inst).edges
+        else:
+            n, r_field = gnp.n, ""
+            edges = sorted(gnp.edges)
+            stream = EdgeStream.from_edges(edges)
+        graph_view = (range(n), edges)
         for desc in algorithms:
             for seed in seeds:
                 if inst is not None:
-                    n = inst.graph.n_vertices
                     sim = simulate_protocol_from_stream(desc, inst, seed)
-                    report = sim.report
-                    cc_bits = sim.transcript.cc_bits
-                    graph_view = (list(range(n)), inst.graph.flat_edges())
-                    r_field = inst.r
+                    report, cc_bits = sim.report, sim.transcript.cc_bits
                 else:
-                    n = gnp.n
-                    stream = EdgeStream.from_edges(sorted(gnp.edges))
-                    report = drive(make_algorithm(desc, n, seed), stream)
-                    cc_bits = ""
-                    graph_view = (gnp.vertices, sorted(gnp.edges))
-                    r_field = ""
+                    report, cc_bits = drive(make_algorithm(desc, n, seed), stream), ""
                 row = {
                     "n": n,
                     "r": r_field,

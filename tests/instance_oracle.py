@@ -1,0 +1,315 @@
+"""Tuple-and-set hard instances: slow, obviously-correct reference code.
+
+This is the instance assembly with every edge a ``((layer, idx), (layer,
+idx))`` tuple pair kept in Python sets, a provenance dict naming each
+embedded edge's copy, collection and path, and the structural checks
+and misr writer that work on those sets.  ``misforge.hardness`` stores
+one sorted flat-id array per player instead; the differential tests in
+``test_instance_arrays.py`` require both to agree on every player's edge
+set, every special subgraph, the misr text and every check verdict.
+
+Both build from the same choice tree (``misforge.sample_tree``), so the
+oracle only replaces the edge representation, never the sampling.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, replace
+from typing import IO, Mapping
+
+import numpy as np
+
+from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, make_edge
+from misforge.oracle import Subgraph
+from misforge.report import VerificationReport
+
+
+@dataclass(frozen=True)
+class OracleInstance:
+    r: int
+    graph: LayeredGraph
+    players: tuple[frozenset[Edge], ...]
+    t: int | None
+    dup: DupGraph | None
+    inner_layer_size: int | None
+    subinstances: tuple[tuple["OracleInstance", ...], ...] | None
+    base_bits: str | None
+    provenance: Mapping[Edge, tuple[str, int, int]] | None
+
+    @property
+    def q_achieved(self) -> int:
+        return 0 if self.subinstances is None else len(self.subinstances)
+
+    @property
+    def p_achieved(self) -> int:
+        return 0 if self.subinstances is None else len(self.subinstances[0])
+
+    @property
+    def half_layers(self) -> int:
+        return self.graph.num_layers // 2
+
+    def subinstance(self, i: int, j: int) -> "OracleInstance":
+        return self.subinstances[i - 1][j - 1]
+
+    def copy_map(self, v: Vertex) -> Vertex:
+        half = self.half_layers
+        layer, idx = v
+        return (layer + half, idx) if layer <= half else (layer - half, idx)
+
+    def special_subgraph(self, side: str, j: int) -> Subgraph:
+        off = 0 if side == "L" else self.half_layers
+        w = self.inner_layer_size
+        path = self.dup.upcs[self.t - 1].paths[j - 1]
+        verts = frozenset(
+            (layer + off, u_idx * w + x) for layer, u_idx in path.vertices for x in range(w)
+        )
+        edges = frozenset(
+            e for e, (s, i, jj) in self.provenance.items()
+            if s == side and i == self.t and jj == j
+        )
+        return Subgraph(vertices=verts, edges=edges)
+
+
+def base_instance(n_0: int, bits: str) -> OracleInstance:
+    edges = frozenset(make_edge((1, i), (2, i)) for i, c in enumerate(bits) if c == "1")
+    graph = LayeredGraph(num_layers=2, layer_size=n_0 // 2, edges=edges)
+    return OracleInstance(
+        r=0, graph=graph, players=(edges,), t=None, dup=None,
+        inner_layer_size=None, subinstances=None, base_bits=bits, provenance=None,
+    )
+
+
+def nonspecial_blocks(dup: DupGraph, t: int, w: int) -> tuple[list[Vertex], list[Vertex]]:
+    half = dup.graph.num_layers
+    b = dup.graph.layer_size
+    special = {v for path in dup.upcs[t - 1].paths for v in path.vertices}
+    left, right = [], []
+    for layer in range(1, half + 1):
+        for u_idx in range(b):
+            if (layer, u_idx) in special:
+                continue
+            for x in range(w):
+                left.append((layer, u_idx * w + x))
+                right.append((layer + half, u_idx * w + x))
+    return left, right
+
+
+def assemble(level: int, dup: DupGraph, w: int,
+             subs: tuple[tuple[OracleInstance, ...], ...], t: int) -> OracleInstance:
+    half = dup.graph.num_layers
+    layer_size = dup.graph.layer_size * w
+    players: list[set[Edge]] = [set() for _ in range(level + 1)]
+    prov: dict[Edge, tuple[str, int, int]] = {}
+    for i0, row in enumerate(subs):
+        upc = dup.upcs[i0]
+        for j0, sub in enumerate(row):
+            path = upc.paths[j0]
+            for a, edge_set in enumerate(sub.players):
+                for (la, xa), (lb, xb) in edge_set:
+                    ua = path.vertices[la - 1][1]
+                    ub = path.vertices[lb - 1][1]
+                    for off, side in ((0, "L"), (half, "R")):
+                        e = make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))
+                        assert e not in prov, f"block collision at {e}"
+                        players[a].add(e)
+                        prov[e] = (side, i0 + 1, j0 + 1)
+    left, right = nonspecial_blocks(dup, t, w)
+    players[level] = {make_edge(u, v) for u in left for v in right}
+    graph = LayeredGraph(num_layers=2 * half, layer_size=layer_size,
+                         edges=frozenset().union(*players))
+    return OracleInstance(
+        r=level, graph=graph, players=tuple(frozenset(s) for s in players),
+        t=t, dup=dup, inner_layer_size=w,
+        subinstances=subs, base_bits=None, provenance=prov,
+    )
+
+
+def build_instance(plans, n_0: int, tree: dict) -> OracleInstance:
+    """The choice tree assembled into tuple sets, level by level."""
+
+    def build(level: int, node: dict) -> OracleInstance:
+        if level == 0:
+            return base_instance(n_0, node["bits"])
+        plan = plans[level - 1]
+        subs = tuple(tuple(build(level - 1, cell) for cell in row) for row in node["subs"])
+        return assemble(level, plan.dup, plan.w, subs, node["t"])
+
+    return build(len(plans), tree)
+
+
+def check_properties(inst: OracleInstance, recurse: bool = True) -> VerificationReport:
+    """The named structural checks, over tuple sets and the provenance dict."""
+    report = VerificationReport()
+
+    def walk(node: OracleInstance, prefix: str) -> None:
+        g = node.graph
+        report.add(prefix + "layering", g.well_formed(), "malformed layered graph")
+        covered: dict[Edge, int] = {}
+        for part in node.players:
+            for e in part:
+                covered[e] = covered.get(e, 0) + 1
+        report.add(
+            prefix + "player_partition",
+            set(covered) == set(g.edges) and all(c == 1 for c in covered.values()),
+            "player edge sets do not partition the graph",
+        )
+        if node.r == 0:
+            report.add(prefix + "base_shape",
+                       g.num_layers == 2 and len(node.players) == 1
+                       and node.base_bits is not None
+                       and g.edges == frozenset(
+                           make_edge((1, i), (2, i))
+                           for i, c in enumerate(node.base_bits) if c == "1"),
+                       "base instance disagrees with its bits")
+            return
+        report.add(prefix + "layer_count", g.num_layers == 2 ** (node.r + 1),
+                   f"expected {2 ** (node.r + 1)} layers")
+        report.add(prefix + "player_count", len(node.players) == node.r + 1,
+                   f"expected {node.r + 1} players")
+
+        half = node.half_layers
+        left_edges = {e for e, (s, _, _) in node.provenance.items() if s == "L"}
+        right_edges = {e for e, (s, _, _) in node.provenance.items() if s == "R"}
+        mirrored = {make_edge(node.copy_map(u), node.copy_map(v)) for u, v in left_edges}
+        report.add(prefix + "copies_identical", mirrored == right_edges,
+                   "the two copies differ")
+
+        specials = {
+            side: [node.special_subgraph(side, j) for j in range(1, node.p_achieved + 1)]
+            for side in ("L", "R")
+        }
+        all_special_verts: set[Vertex] = set()
+        disjoint = True
+        for side in ("L", "R"):
+            for sub in specials[side]:
+                if all_special_verts & sub.vertices:
+                    disjoint = False
+                all_special_verts |= sub.vertices
+        report.add(prefix + "special_disjoint", disjoint, "special blocks overlap")
+
+        induced = {
+            e for e in g.edges if e[0] in all_special_verts and e[1] in all_special_verts
+        }
+        union_special = frozenset(
+            e for side in ("L", "R") for sub in specials[side] for e in sub.edges
+        )
+        report.add(prefix + "special_induced", induced == union_special,
+                   "induced subgraph on special blocks has foreign or missing edges")
+
+        rebuilt: list[set[Edge]] = [set() for _ in range(node.r)]
+        w = node.inner_layer_size
+        for i in range(1, node.q_achieved + 1):
+            for j in range(1, node.p_achieved + 1):
+                path = node.dup.upcs[i - 1].paths[j - 1]
+                sub = node.subinstance(i, j)
+                for a, edge_set in enumerate(sub.players):
+                    for (la, xa), (lb, xb) in edge_set:
+                        ua = path.vertices[la - 1][1]
+                        ub = path.vertices[lb - 1][1]
+                        for off in (0, half):
+                            rebuilt[a].add(
+                                make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))
+                            )
+        for a in range(node.r):
+            report.add(prefix + f"player_{a + 1}_from_subparts",
+                       rebuilt[a] == set(node.players[a]),
+                       "player input is not a function of its inner parts")
+        left, right = nonspecial_blocks(node.dup, node.t, w)
+        clique = {make_edge(u, v) for u in left for v in right}
+        report.add(prefix + "join_from_t", clique == set(node.players[-1]),
+                   "cross-copy join is not a function of t")
+        report.add(prefix + "join_count",
+                   len(node.players[-1]) == len(left) * len(right),
+                   "cross-copy join has the wrong size")
+        if recurse:
+            for i in range(1, node.q_achieved + 1):
+                for j in range(1, node.p_achieved + 1):
+                    walk(node.subinstance(i, j), prefix + f"sub[{i}][{j}].")
+
+    walk(inst, "")
+    return report
+
+
+def levels_meta(inst: OracleInstance) -> list[dict]:
+    levels = []
+    cur = inst
+    while cur.r >= 1:
+        dp = cur.dup.params
+        levels.append(
+            {
+                "j": cur.r,
+                "ell": dp.ell,
+                "d": dp.d,
+                "k": dp.k,
+                "b": cur.dup.graph.layer_size,
+                "w": cur.inner_layer_size,
+                "p": dp.p,
+                "q": dp.q,
+            }
+        )
+        cur = cur.subinstance(1, 1)
+    levels.reverse()
+    return levels
+
+
+def tree_of(inst: OracleInstance) -> dict:
+    if inst.r == 0:
+        return {"bits": inst.base_bits}
+    return {
+        "t": inst.t,
+        "subs": [
+            [tree_of(inst.subinstance(i, j)) for j in range(1, inst.p_achieved + 1)]
+            for i in range(1, inst.q_achieved + 1)
+        ],
+    }
+
+
+def write_instance(inst: OracleInstance, fh: IO[str], seed: int | None = None,
+                   mode: str = "toy", extra: dict | None = None) -> None:
+    """misr v1, one f-string line per sorted flat-id pair."""
+    base = inst
+    while base.r >= 1:
+        base = base.subinstance(1, 1)
+    meta = {
+        "version": 1,
+        "r": inst.r,
+        "seed": seed,
+        "mode": mode,
+        "n0": base.graph.layer_size * 2,
+        "levels": levels_meta(inst),
+        "tree": tree_of(inst),
+    }
+    if extra:
+        meta.update(extra)
+    fh.write("misr 1\n")
+    fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    for a, part in enumerate(inst.players, start=1):
+        fh.write(f"player {a}\n")
+        for u, v in sorted((inst.graph.flat_id(x), inst.graph.flat_id(y)) for x, y in part):
+            fh.write(f"{u} {v}\n")
+    fh.write("end\n")
+
+
+def flat_array(edges, layer_size: int) -> np.ndarray:
+    """Tuple edges as the sorted (m, 2) int64 flat-id array misforge stores."""
+    pairs = sorted(
+        ((u[0] - 1) * layer_size + u[1], (v[0] - 1) * layer_size + v[1]) for u, v in edges
+    )
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def replace_edges(inst, players=None, edges=None):
+    """``inst`` with its edges replaced, stored as misforge stores them.
+
+    ``players`` are new per-player tuple sets.  ``edges`` is a new whole
+    edge set: edges it leaves out leave their players, and edges no
+    player holds go to player 1."""
+    parts = [set(p) for p in (inst.players if players is None else players)]
+    if edges is not None:
+        edges = set(edges)
+        for part in parts:
+            part &= edges
+        parts[0] |= edges - set().union(*parts)
+    size = inst.graph.layer_size
+    return replace(inst, player_edges=tuple(flat_array(p, size) for p in parts))

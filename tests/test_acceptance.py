@@ -33,8 +33,9 @@ from misforge import (
 )
 from misforge.cli import main as cli_main
 from misforge.dupgraph import LayeredGraph, make_edge
-from misforge.hardness import Instance
 from misforge.streaming import drive
+
+from instance_oracle import replace_edges
 
 import numpy as np
 
@@ -181,15 +182,9 @@ def _mutations(inst):
     half = inst.half_layers
     w = inst.inner_layer_size
 
-    def rebuild(**kw):
-        fields = dict(
-            r=inst.r, graph=inst.graph, players=inst.players, t=inst.t,
-            dup=inst.dup, inner_layer_size=inst.inner_layer_size,
-            subinstances=inst.subinstances, base_bits=inst.base_bits,
-            provenance=inst.provenance,
-        )
-        fields.update(kw)
-        return Instance(**fields)
+    def rebuild(graph=None, players=None):
+        return replace_edges(inst, players=players,
+                             edges=None if graph is None else graph.edges)
 
     g = inst.graph
 
@@ -221,16 +216,13 @@ def _mutations(inst):
     ), ("special_induced", "player_partition")
 
     # 3: copies diverge
-    left = next(e for e in inst.provenance if inst.provenance[e][0] == "L")
-    prov = dict(inst.provenance)
-    prov.pop(left)
+    left = next(e for e in g.edges if e[1][0] <= half)
     owner = next(i for i, p in enumerate(inst.players) if left in p)
     players = [set(p) for p in inst.players]
     players[owner].discard(left)
     yield rebuild(
         graph=LayeredGraph(g.num_layers, g.layer_size, g.edges - {left}),
         players=tuple(frozenset(p) for p in players),
-        provenance=prov,
     ), ("copies_identical",)
 
     # 4: an embedded edge moved to the joining player

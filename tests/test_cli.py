@@ -113,6 +113,18 @@ def test_check_instance_flags_tampering(tmp_path, capsys):
     assert "FAIL stored_sections_match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("old, new", [("player 2", "player x"),
+                                      ("player 1\n", "player 1\na b\n")])
+def test_check_instance_non_integer_fields_exit_2(tmp_path, capsys, old, new):
+    out = tmp_path / "t.misr"
+    main(["gen-instance", "--r", "1", "--n0", "4", "--toy", "1,1",
+          "--seed", "9", "--out", str(out)])
+    bad = tmp_path / "bad.misr"
+    bad.write_text(out.read_text().replace(old, new, 1))
+    assert main(["check-instance", "--in", str(bad)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_predicate_eval_and_cross_check(tmp_path, capsys):
     out = tmp_path / "t.misr"
     main(["gen-instance", "--r", "1", "--n0", "4", "--toy", "1,1",

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from misforge import (
     sample_tree,
     write_instance,
 )
-from misforge.dupgraph import LayeredGraph, make_edge
-from misforge.hardness import Instance, _base_instance
+from misforge.dupgraph import make_edge
+from misforge.hardness import _base_instance
+
+from instance_oracle import replace_edges
 
 
 # -- parameter cascade --------------------------------------------------------
@@ -201,19 +204,8 @@ def test_t_distribution_uniform():
 # -- targeted mutations -------------------------------------------------------
 
 
-def mutate(inst, new_edges=None, new_players=None, **overrides):
-    kwargs = dict(
-        r=inst.r, graph=inst.graph, players=inst.players, t=inst.t, dup=inst.dup,
-        inner_layer_size=inst.inner_layer_size, subinstances=inst.subinstances,
-        base_bits=inst.base_bits, provenance=inst.provenance,
-    )
-    if new_edges is not None:
-        g = inst.graph
-        kwargs["graph"] = LayeredGraph(g.num_layers, g.layer_size, frozenset(new_edges))
-    if new_players is not None:
-        kwargs["players"] = tuple(frozenset(p) for p in new_players)
-    kwargs.update(overrides)
-    return Instance(**kwargs)
+def mutate(inst, new_edges=None, new_players=None):
+    return replace_edges(inst, players=new_players, edges=new_edges)
 
 
 def special_block_vertex(inst):
@@ -266,10 +258,7 @@ def test_mutation_copy_divergence_caught():
     owner = next(i for i, p in enumerate(inst.players) if left in p)
     players = [set(p) for p in inst.players]
     players[owner].discard(left)
-    prov = dict(inst.provenance)
-    prov.pop(left)
-    bad = mutate(inst, new_edges=set(inst.graph.edges) - {left}, new_players=players,
-                 provenance=prov)
+    bad = mutate(inst, new_edges=set(inst.graph.edges) - {left}, new_players=players)
     report = check_properties(bad, recurse=False)
     assert not report.checks["copies_identical"]
 
@@ -382,6 +371,11 @@ def test_misr_rejects_mangled():
         lambda t: t.replace("misr 1", "misr 2", 1),
         lambda t: t.replace('"r":1', '"r":3', 1),
         lambda t: "\n".join(t.splitlines()[:-1]) + "\n",   # drop the end marker
+        lambda t: t.replace("player 2", "player x", 1),      # section number not an int
+        lambda t: t.replace("player 1\n", "player 1\na b\n", 1),   # vertex ids not ints
+        lambda t: t.replace('"w":2', '"w":1', 1),             # inner width not the base's
+        lambda t: re.sub(r"\n(\d+ \d+)\n(\d+ \d+)\n", r"\n\1 \2\n", t, count=1),  # 2 edges, 1 line
+        lambda t: t.replace('"w":2', '"w":"x"', 1),
     ):
         with pytest.raises(FormatError):
             read_instance(io.StringIO(mangle(text)))

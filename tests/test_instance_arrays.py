@@ -1,0 +1,185 @@
+"""Array-native instances against the tuple-and-set oracle.
+
+``misforge.hardness`` stores each player's edges as one sorted flat-id
+array; ``instance_oracle`` is the tuple-set assembly it replaced.  Built
+from the same choice tree, both must agree on every player's edge set,
+every special subgraph, the misr text byte for byte and every
+structural check's verdict.
+"""
+
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from misforge import (
+    EdgeStream,
+    Instance,
+    ToyParams,
+    check_properties,
+    plan_levels,
+    read_instance,
+    sample_instance,
+    sample_tree,
+    write_instance,
+)
+from misforge.hardness import EdgeView
+
+import instance_oracle as oracle
+
+SHAPES = [
+    (4, ((1, 1),)),
+    (2, ((1, 1),)),
+    (4, ((2, 1),)),
+    (8, ((2, 1),)),
+    (4, ((1, 2),)),
+    (2, ((3, 1),)),
+    (2, ((2, 2),)),              # two paths per collection
+    (2, ((1, 1), (1, 1))),
+    (4, ((1, 1), (1, 1))),
+    (2, ((2, 1), (1, 1))),
+    (2, ((1, 1), (2, 1))),
+]
+
+
+def build_both(shape, seed):
+    n0, levels = shape
+    toy = ToyParams(n_0=n0, levels=levels)
+    plans = plan_levels(toy)
+    return (sample_instance(toy.r, toy, seed),
+            oracle.build_instance(plans, n0, sample_tree(plans, n0, seed)))
+
+
+def nodes(inst, ref):
+    """Every (instance, oracle) node pair of the recursion, root first."""
+    yield inst, ref
+    if inst.r >= 1:
+        for i in range(1, inst.q_achieved + 1):
+            for j in range(1, inst.p_achieved + 1):
+                yield from nodes(inst.subinstance(i, j), ref.subinstance(i, j))
+
+
+def misr_text(inst, seed, write=write_instance):
+    buf = io.StringIO()
+    write(inst, buf, seed=seed, mode="toy")
+    return buf.getvalue()
+
+
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10_000))
+@settings(deadline=None, max_examples=60)
+def test_arrays_agree_with_tuple_oracle(shape, seed):
+    inst, ref = build_both(shape, seed)
+    for node, want in nodes(inst, ref):
+        assert [set(p) for p in node.players] == [set(p) for p in want.players]
+        assert [len(p) for p in node.players] == [len(p) for p in want.players]
+        assert node.graph.edges == want.graph.edges
+        if node.r >= 1:
+            for side in ("L", "R"):
+                for j in range(1, node.p_achieved + 1):
+                    assert node.special_subgraph(side, j) == want.special_subgraph(side, j)
+    assert misr_text(inst, seed) == misr_text(ref, seed, oracle.write_instance)
+    assert check_properties(inst).checks == oracle.check_properties(ref).checks
+
+
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10_000),
+       pick=st.integers(0, 10**6), how=st.sampled_from(["move", "drop", "copy"]))
+@settings(deadline=None, max_examples=60)
+def test_mutant_verdicts_agree_with_tuple_oracle(shape, seed, pick, how):
+    """Move one edge to the next player: every verdict matches the
+    oracle's, failures included.  Drop it, or copy it to the next player
+    as well: every check the oracle fails fails here too.  (Here may fail
+    more: the copies and the special subgraphs come from the edges and
+    the sub-instances, while the oracle reads them from a provenance
+    record the mutant edits along with the edge, or not at all.)"""
+    inst, ref = build_both(shape, seed)
+    parts = [set(p) for p in ref.players]
+    owners = [a for a, part in enumerate(parts) if part]
+    owner = owners[pick % len(owners)]
+    edge = sorted(parts[owner])[pick % len(parts[owner])]
+    provenance = dict(ref.provenance)
+    if how != "copy":
+        parts[owner].discard(edge)
+    if how == "drop":
+        provenance.pop(edge, None)
+    else:
+        parts[(owner + 1) % len(parts)].add(edge)
+    bad_ref = dataclasses.replace(
+        ref, players=tuple(map(frozenset, parts)), provenance=provenance,
+        graph=dataclasses.replace(ref.graph, edges=frozenset().union(*parts)))
+    got = check_properties(oracle.replace_edges(inst, players=parts), recurse=False).checks
+    want = oracle.check_properties(bad_ref, recurse=False).checks
+    assert got.keys() == want.keys() and not all(want.values())
+    if how == "move":
+        assert got == want
+    else:
+        assert {k for k, ok in want.items() if not ok} <= {k for k, ok in got.items() if not ok}
+
+
+def test_join_membership_is_checked_not_only_its_size():
+    """One join edge swapped for an edge to a special block: the count
+    still holds, the block-membership test must fail, as the oracle's
+    set comparison does."""
+    inst, ref = build_both((4, ((2, 1),)), 3)
+    join = set(ref.players[-1])
+    u, v = min(join)
+    special = min(inst.special_subgraph("R", 1).vertices)
+    parts = [set(p) for p in ref.players[:-1]] + [(join - {(u, v)}) | {(u, special)}]
+    bad_ref = dataclasses.replace(
+        ref, players=tuple(map(frozenset, parts)),
+        graph=dataclasses.replace(ref.graph, edges=frozenset().union(*parts)))
+    got = check_properties(oracle.replace_edges(inst, players=parts), recurse=False).checks
+    assert got["join_count"] and not got["join_from_t"]
+    assert got == oracle.check_properties(bad_ref, recurse=False).checks
+
+
+@pytest.mark.parametrize("shape", SHAPES[:3] + SHAPES[-2:])
+def test_misr_roundtrip_keeps_arrays(shape):
+    inst, _ = build_both(shape, 5)
+    loaded = read_instance(io.StringIO(misr_text(inst, 5)))
+    assert loaded.matches
+    for stored, built in zip(loaded.stored_players, inst.player_edges):
+        assert stored.dtype == np.int64 and np.array_equal(stored, built)
+
+
+# -- the stored form ----------------------------------------------------------
+
+
+def test_instance_stores_only_flat_arrays():
+    names = {f.name for f in dataclasses.fields(Instance)}
+    assert "provenance" not in names and "players" not in names and "graph" not in names
+    inst, _ = build_both((4, ((2, 1),)), 3)
+    for part in inst.player_edges:
+        assert part.dtype == np.int64 and part.ndim == 2 and part.shape[1] == 2
+        keys = part[:, 0] * inst.graph.n_vertices + part[:, 1]
+        assert np.all(part[:, 0] < part[:, 1]) and np.all(np.diff(keys) > 0)
+    assert isinstance(inst.graph.edges, EdgeView)
+    assert all(isinstance(p, EdgeView) for p in inst.players)
+
+
+def test_edge_view_is_a_read_only_set():
+    inst, ref = build_both((4, ((2, 1),)), 3)
+    view, want = inst.players[-1], ref.players[-1]
+    assert len(view) == len(want)
+    assert all(e in view for e in want)
+    a, b = next(iter(want))
+    assert (b, a) not in view                   # edges are normalised, smaller end first
+    assert ((1, 0), (1, 1)) not in view         # same layer
+    assert ((1, 0), (9, 0)) not in view         # outside the graph
+    assert ((1, 99), (3, 0)) not in view        # index beyond the layer
+    assert "edge" not in view and 7 not in view
+    assert view & {(a, b)} == frozenset({(a, b)})
+    assert isinstance(view | set(), frozenset)
+    again, _ = build_both((4, ((2, 1),)), 3)
+    assert inst.graph.edges == ref.graph.edges and inst.players == again.players
+    assert inst.graph.edges != inst.players[0]
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_stream_shares_the_player_arrays():
+    inst, _ = build_both((4, ((2, 1),)), 3)
+    stream = EdgeStream.from_instance(inst, order="player")
+    assert all(np.shares_memory(s, p) for s, p in zip(stream.sections_list, inst.player_edges))
