@@ -1,21 +1,24 @@
-"""Wall time and peak RSS of the instance pipeline's stages, before and after a change.
+"""Wall time and peak RSS of one workload's stages, before and after a change.
 
     python3 bench/instances.py --before DIR --after DIR --out BENCH_instances.json
+    python3 bench/instances.py --workload exact_checks --before DIR --after DIR \
+        --out BENCH_exact_checks.json
 
 Each DIR is the root of a misforge checkout.  For every seed, and for
 each checkout in turn, the script runs there
 
-* ``perfbench/run.py --workload instance_pipeline --trace 1`` and keeps
-  the per-layer self times of the hardness, streaming and protocol spans
-  and the GC time;
-* ``perfbench/run.py --workload instance_pipeline --trace 0`` and keeps
-  the end-to-end ``setup_s``, ``wall_s``, ``edges_per_s`` and
-  ``peak_rss_mb``;
-* for each of the workload's two toy instances, a fresh probe process
-  that runs the hardness stages once and records, after every stage, its
-  wall time and the process's peak RSS so far (``ru_maxrss`` is a
-  high-water mark: a stage that raises it is the one that needed the
-  memory).
+* ``perfbench/run.py --workload W --trace 1`` and keeps the per-layer
+  self times of the workload's spans (``WORKLOADS[W]["keep"]``) and the
+  GC time;
+* ``perfbench/run.py --workload W --trace 0`` and keeps the end-to-end
+  ``setup_s``, ``wall_s``, ``edges_per_s`` and ``peak_rss_mb``;
+* for each of the workload's probe cases, a fresh probe process that
+  runs the case's stages once and records, after every stage, its wall
+  time and the process's peak RSS so far (``ru_maxrss`` is a high-water
+  mark: a stage that raises it is the one that needed the memory).  For
+  ``instance_pipeline`` a case is one of its two toy instances and the
+  stages are the hardness stages; for ``exact_checks`` a case is one of
+  its three average-free grids and the stages are build and verify.
 
 The file gets the host, both checkouts' commits, every run's numbers
 and, per metric, the median over seeds before and after.
@@ -32,30 +35,34 @@ import subprocess
 import sys
 from pathlib import Path
 
-KEEP_PREFIXES = ("hardness.", "streaming.from_instance.", "protocol.simulate.", "runtime.gc_s")
-
-PROBE = r"""
-import io, json, resource, sys, time
-from misforge import (EdgeStream, ToyParams, check_properties, read_instance,
-                      sample_instance, write_instance)
+# Shared head of every probe: the case key and a stage timer.  The probe
+# body makes its imports, then starts ``clock``, runs its stages through
+# ``stage`` and prints ``rows``.
+PROBE_HEAD = r"""
+import json, resource, sys, time
 
 seed, key = int(sys.argv[1]), sys.argv[2]
-n0, levels = SHAPES[key]
-toy = ToyParams(n_0=n0, levels=levels)
 rows = []
-clock = time.perf_counter()
 
 
 def stage(name, fn):
     global clock
     out = fn()
     now = time.perf_counter()
-    rows.append({"instance": key, "stage": name, "wall_s": now - clock,
+    rows.append({"case": key, "stage": name, "wall_s": now - clock,
                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024})
     clock = now
     return out
+"""
 
+PIPELINE_PROBE = r"""
+import io
+from misforge import (EdgeStream, ToyParams, check_properties, read_instance,
+                      sample_instance, write_instance)
 
+n0, levels = CASES[key]
+toy = ToyParams(n_0=n0, levels=levels)
+clock = time.perf_counter()
 inst = stage("sample_instance", lambda: sample_instance(toy.r, toy, seed))
 stage("check_properties", lambda: check_properties(inst))
 buf = io.StringIO()
@@ -66,8 +73,32 @@ stage("matches", lambda: loaded.matches)
 stage("from_instance", lambda: EdgeStream.from_instance(loaded.instance))
 print(json.dumps(rows))
 """
-# the instance_pipeline workload's two toy instances: (n0, levels)
-SHAPES = {"r1": (8, ((3, 2),)), "r2": (4, ((2, 1), (2, 1)))}
+
+AVGFREE_PROBE = r"""
+from misforge import build_avg_free_set, verify_avg_free
+
+ell, d = CASES[key]
+clock = time.perf_counter()
+a_set = stage("build_avg_free_set", lambda: build_avg_free_set(ell, d))
+if not stage("verify_avg_free", lambda: verify_avg_free(a_set, 5)):
+    sys.exit(f"{key}: not average-free")
+print(json.dumps(rows))
+"""
+
+WORKLOADS = {
+    "instance_pipeline": {
+        "keep": ("hardness.", "streaming.from_instance.", "protocol.simulate.", "runtime.gc_s"),
+        "probe": PIPELINE_PROBE,
+        # the workload's two toy instances: (n0, levels)
+        "cases": {"r1": (8, ((3, 2),)), "r2": (4, ((2, 1), (2, 1)))},
+    },
+    "exact_checks": {
+        "keep": ("avgfree.", "dupgraph.", "embedding.", "oracle.", "runtime.gc_s"),
+        "probe": AVGFREE_PROBE,
+        # the workload's three average-free grids: (ell, d)
+        "cases": {"8,4": (8, 4), "16,3": (16, 3), "7,4": (7, 4)},
+    },
+}
 
 
 def last_json(cmd: list[str], cwd: Path, env: dict | None = None) -> object:
@@ -81,19 +112,20 @@ def commit(root: Path) -> str:
     return proc.stdout.strip() or "unknown"
 
 
-def measure(root: Path, seed: int, seconds: float) -> dict:
-    run = [sys.executable, "perfbench/run.py", "--workload", "instance_pipeline",
+def measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    spec = WORKLOADS[workload]
+    run = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     traced = last_json(run + ["--trace", "1"], root)
     plain = last_json(run + ["--trace", "0"], root)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = f"SHAPES = {SHAPES!r}\n" + PROBE
-    stages = [row for key in SHAPES
+    probe = f"CASES = {spec['cases']!r}\n" + PROBE_HEAD + spec["probe"]
+    stages = [row for key in spec["cases"]
               for row in last_json([sys.executable, "-c", probe, str(seed), key], root, env)]
     return {
         "correct": traced["correct"] and plain["correct"],
         "per_layer_s": {name: m["value"] for name, m in traced["metrics"].items()
-                        if name.startswith(KEEP_PREFIXES) and m["unit"] == "s"},
+                        if name.startswith(spec["keep"]) and m["unit"] == "s"},
         "end_to_end": {name: m["value"] for name, m in plain["metrics"].items()},
         "stages": stages,
     }
@@ -108,13 +140,14 @@ def medians(runs: list[dict]) -> dict:
             values.setdefault(name, []).append(value)
         for row in run["stages"]:
             for field in ("wall_s", "peak_rss_mb"):
-                key = f"stage.{row['instance']}.{row['stage']}.{field}"
+                key = f"stage.{row['case']}.{row['stage']}.{field}"
                 values.setdefault(key, []).append(row[field])
     return {name: statistics.median(vals) for name, vals in values.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="instance_pipeline")
     parser.add_argument("--before", type=Path, required=True)
     parser.add_argument("--after", type=Path, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -128,14 +161,15 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         for side, root in checkouts.items():   # alternate, so host drift hits both
             print(f"seed {seed}: {side}", file=sys.stderr)
-            runs[side].append({"seed": seed, **measure(root, seed, args.seconds)})
+            runs[side].append({"seed": seed, **measure(root, args.workload, seed, args.seconds)})
     report = {
-        "command": (f"python3 bench/instances.py --before <parent checkout> --after . "
+        "command": (f"python3 bench/instances.py --workload {args.workload} "
+                    f"--before <parent checkout> --after . "
                     f"--seeds {' '.join(map(str, args.seeds))} --seconds {args.seconds:g} "
                     f"--out {args.out.name}"),
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
-        "workload": "instance_pipeline",
+        "workload": args.workload,
         "seconds": args.seconds,
         "seeds": args.seeds,
         "commits": {side: commit(root) for side, root in checkouts.items()},

@@ -41,21 +41,30 @@ class Subgraph:
     edges: frozenset
 
 
-def vertex_edge_view(graph) -> tuple[list, list]:
-    """Normalize the supported graph shapes to (vertices, edges)."""
+def _vertices_and_edges(graph) -> tuple[Iterable, Iterable]:
+    """The supported graph shapes as (vertices, edges), in no set order."""
     if isinstance(graph, Subgraph):
-        return sorted(graph.vertices), sorted(graph.edges)
+        return graph.vertices, graph.edges
     if isinstance(graph, tuple) and len(graph) == 2:
-        return sorted(graph[0]), sorted(tuple(e) for e in graph[1])
+        return graph
     if hasattr(graph, "vertices") and hasattr(graph, "edges"):
         verts = graph.vertices() if callable(graph.vertices) else graph.vertices
-        return sorted(verts), sorted(graph.edges)
+        return verts, graph.edges
     raise InvalidInputError(f"unsupported graph object: {type(graph).__name__}")
 
 
+def vertex_edge_view(graph) -> tuple[list, list]:
+    """Normalize the supported graph shapes to sorted (vertices, edges)."""
+    vertices, edges = _vertices_and_edges(graph)
+    return sorted(vertices), sorted(tuple(e) for e in edges)
+
+
 def is_mis(graph, candidate: Iterable) -> bool:
-    """True iff candidate is an independent dominating set of graph."""
-    vertices, edges = vertex_edge_view(graph)
+    """True iff candidate is an independent dominating set of graph.
+
+    One pass over the edges; nothing is sorted.
+    """
+    vertices, edges = _vertices_and_edges(graph)
     vset = set(vertices)
     s = set(candidate)
     if not s <= vset:

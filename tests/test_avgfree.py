@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from misforge import (
     AvgFreeSet,
     Budget,
     BudgetExceededError,
+    InvalidInputError,
     build_avg_free_set,
     verify_avg_free,
 )
 from misforge.avgfree import well_formed
 
+from avgfree_oracle import dfs_avg_free, dict_build_members
 from conftest import brute_avg_free
 
 
@@ -62,8 +66,6 @@ def test_budget_exceeded():
 
 
 def test_invalid_dimensions():
-    from misforge import InvalidInputError
-
     for ell, d in [(0, 1), (1, 0), (-2, 3)]:
         with pytest.raises(InvalidInputError):
             build_avg_free_set(ell, d)
@@ -87,8 +89,6 @@ def test_build_properties(ell, d):
 @settings(deadline=None, max_examples=60)
 def test_verify_matches_brute_force(ell, d, data):
     """The pruned search agrees with direct multiset enumeration."""
-    import itertools
-
     grid = list(itertools.product(range(1, ell + 1), repeat=d))
     members = tuple(
         sorted(
@@ -105,3 +105,98 @@ def test_equal_norm_class_is_average_free_even_for_large_t():
     # constructed sets stay average-free well past the verification default
     a = build_avg_free_set(3, 2)
     assert verify_avg_free(a, 8)
+
+
+def test_builder_matches_dict_builder():
+    """The numpy builder equals a dict over itertools.product on every small grid."""
+    grids = 0
+    for d in range(1, 13):
+        ell = 1
+        while ell**d <= 512:
+            a = build_avg_free_set(ell, d)
+            assert (a.norm_sq, a.members) == dict_build_members(ell, d), (ell, d)
+            assert all(type(c) is int for v in a.members for c in v)
+            grids += 1
+            ell += 1
+    assert grids == 560
+
+
+@pytest.mark.parametrize(
+    "ell, d, members",
+    [
+        (3, 1, ((4,), (5,))),       # average-free, but outside {1..3}
+        (3, 1, ((0,), (2,))),
+        (3, 2, ((1, 2), (2,))),     # ragged
+        (3, 2, ((1, 2, 3), (2, 1, 3))),   # length differs from d
+        (3, 2, (1, 2)),             # scalars, not vectors
+        (0, 1, ((1,), (2,))),
+        (3, 0, ((), ())),
+        (-1, 1, ()),
+    ],
+)
+def test_verify_rejects_bad_members(ell, d, members):
+    a = AvgFreeSet(ell=ell, d=d, norm_sq=0, members=members)
+    with pytest.raises(InvalidInputError):
+        verify_avg_free(a, 3)
+
+
+def test_node_count_pins_the_cap():
+    """(8,4) up to t=5 visits 454 362 nodes, as the depth-first search does."""
+    a = build_avg_free_set(8, 4)
+    assert verify_avg_free(a, 5, Budget(max_nodes=454_362))
+    with pytest.raises(BudgetExceededError):
+        verify_avg_free(a, 5, Budget(max_nodes=454_361))
+
+
+def _member_sets(ell, d, data):
+    grid = list(itertools.product(range(1, ell + 1), repeat=d))
+    members = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
+    if data.draw(st.booleans()):
+        members = sorted(members)
+    return tuple(members)
+
+
+@given(ell=st.integers(1, 4), d=st.integers(1, 4), t=st.integers(2, 6), data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_verify_matches_dfs_oracle(ell, d, t, data):
+    """Same verdict as the per-node search and brute force; on average-free
+    sets the same node count, so the cap trips at the same value."""
+    members = _member_sets(ell, d, data)
+    a = AvgFreeSet(ell=ell, d=d, norm_sq=0, members=members)
+    verdict, nodes = dfs_avg_free(a, t)
+    assert verify_avg_free(a, t) == verdict == brute_avg_free(members, t)
+    cap = data.draw(st.integers(0, nodes + 1))
+    try:
+        capped = verify_avg_free(a, t, Budget(max_nodes=cap))
+    except BudgetExceededError:
+        capped = None
+    if verdict:
+        assert capped is (None if cap < nodes else True)
+    elif capped is not None:
+        assert capped is False
+
+
+def test_verify_matches_dfs_oracle_on_random_sets():
+    """A fixed draw in which many sets are not average-free, some with a
+    repeated member."""
+    rng = random.Random(5)
+    refuted = 0
+    for _ in range(300):
+        d, ell = rng.randint(1, 4), rng.randint(1, 5)
+        members = list(dict.fromkeys(
+            tuple(rng.randint(1, ell) for _ in range(d)) for _ in range(rng.randint(1, 9))
+        ))
+        if rng.random() < 0.5:
+            members.sort()
+        if rng.random() < 0.1:   # a repeated member is a second hit
+            members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+        t = rng.randint(2, 6)
+        a = AvgFreeSet(ell=ell, d=d, norm_sq=0, members=tuple(members))
+        verdict, nodes = dfs_avg_free(a, t)
+        assert verify_avg_free(a, t) == verdict, (a, t)
+        if verdict and nodes:
+            assert verify_avg_free(a, t, Budget(max_nodes=nodes))
+            with pytest.raises(BudgetExceededError):
+                verify_avg_free(a, t, Budget(max_nodes=nodes - 1))
+        refuted += not verdict
+    assert refuted >= 50

@@ -41,6 +41,13 @@ def test_is_mis_rejects_foreign_vertices():
     assert not is_mis(PATH3, {"a", "z"})
 
 
+def test_is_mis_needs_no_vertex_order():
+    # is_mis makes one pass and sorts nothing, so unorderable vertices work
+    mixed = ([1, "a", (2, 0)], [(1, "a"), ("a", (2, 0))])
+    assert is_mis(mixed, {1, (2, 0)})
+    assert not is_mis(mixed, {1})
+
+
 @given(n=st.integers(1, 8), data=st.data())
 @settings(deadline=None, max_examples=80)
 def test_is_mis_matches_brute(n, data):
