@@ -14,7 +14,7 @@ from misforge import (
     build_dup,
     build_dup_from_size,
     derive_dup_dimensions,
-    enumerate_layered_paths,
+    path_counts,
     read_dup,
     verify_dup,
     write_dup,
@@ -48,14 +48,11 @@ if __name__ == "__main__":
     print("  checks:", ", ".join(f"{name}={ok}" for name, ok in report.checks.items()))
     assert report.ok
 
-    # Uniqueness in action: any start/finish pair has at most one layered path.
-    upc = dup.upcs[0]
-    s = upc.paths[0].start
-    hits = sum(
-        len(enumerate_layered_paths(dup.graph, s, t)) for t in upc.finals()
-    )
-    print(f"  from start {s}: {hits} layered path(s) across {len(upc.finals())} "
-          f"possible finishes")
+    # Uniqueness in action: a start reaches its own path's finish by exactly
+    # one layered path and every other finish of its collection by none.
+    row = path_counts(dup)[0, 0]
+    print(f"  from start {dup.upcs[0].paths[0].start}: layered paths to each finish "
+          f"of collection 1 (capped at 2): {row.tolist()}")
 
     sizing_table()
 

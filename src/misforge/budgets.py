@@ -1,9 +1,10 @@
 """Enumeration budgets.
 
 Every exhaustive search in the package (vector enumeration, multiset
-search, path enumeration) is capped.  Hitting a cap raises
-BudgetExceededError rather than silently truncating, so a passing check
-always means the whole space was covered.  The MISFORGE_BUDGET
+search, layered path counting) is capped; for DUP verification the path
+cap counts the rows of the path-count frontier, not individual paths.
+Hitting a cap raises BudgetExceededError rather than silently
+truncating, so a passing check always means the whole space was covered.  The MISFORGE_BUDGET
 environment variable, when set to a positive integer, replaces the
 default caps below.
 """
@@ -22,7 +23,7 @@ ENV_VAR = "MISFORGE_BUDGET"
 class Budget:
     max_vectors: int = DEFAULT_CAP    # candidate vectors enumerated by a build
     max_nodes: int = DEFAULT_CAP      # search-tree nodes in multiset verification
-    max_paths: int = DEFAULT_CAP      # layered paths visited per enumeration
+    max_paths: int = DEFAULT_CAP      # path-count frontier rows per DUP verification
 
 
 def default_budget() -> Budget:

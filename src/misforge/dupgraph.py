@@ -20,14 +20,26 @@ Vertices are (layer, index) pairs with layers 1-based and indices
 0-based; grid vectors map to indices lexicographically (first coordinate
 most significant).  Padding appends isolated vertices at the top of
 every layer's index range, so path indices are unaffected by it.
+
+Storage: a DupGraph stores its paths once, as a (q, p, k+1) int64 array
+of layer-local indices (``paths[i-1, j-1, m-1]`` is the layer-m vertex
+of collection i's path j), and its edges as one sorted (m, 2) int64
+array of flat ids (layer - 1) * layer_size + idx, smaller id first,
+derived from the paths.  ``graph.edges`` (an ``EdgeView``) and ``upcs``
+are read-only views of these arrays.  verify_dup checks uniqueness with
+one capped path-count pass over the whole graph (see path_counts), and
+path_lut is the one table that routes a graph along a collection path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cached_property
 from typing import IO, Iterator
+
+import numpy as np
 
 from .avgfree import AvgFreeSet, Vector, build_avg_free_set
 from .budgets import Budget, default_budget
@@ -45,11 +57,56 @@ def make_edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per edge, ordered as the edges' (u, v) pairs."""
+    return edges[:, 0] * n + edges[:, 1]
+
+
+def edge_pairs(edges: np.ndarray, layer_size: int) -> Iterator[Edge]:
+    """Flat-id edges as ((layer, idx), (layer, idx)) pairs."""
+    for u, v in edges.tolist():
+        yield (u // layer_size + 1, u % layer_size), (v // layer_size + 1, v % layer_size)
+
+
+class EdgeView(AbstractSet):
+    """A read-only set of ``(layer, idx)`` edge pairs over disjoint ``(m, 2)``
+    flat-id arrays, each sorted by (u, v) with u < v.  ``len`` touches no
+    edge, membership is a binary search, and only iteration builds tuple
+    pairs.  Set operations with other sets return frozensets."""
+
+    def __init__(self, parts: tuple[np.ndarray, ...], layer_size: int, n: int):
+        self.parts, self.layer_size, self.n = parts, layer_size, n
+        self._sorted_keys: np.ndarray | None = None     # built on the first lookup
+
+    _from_iterable = frozenset      # what the Set mixin methods build
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.parts)
+
+    def __iter__(self) -> Iterator[Edge]:
+        for part in self.parts:
+            yield from edge_pairs(part, self.layer_size)
+
+    def __contains__(self, edge) -> bool:
+        size, n = self.layer_size, self.n
+        try:
+            (la, xa), (lb, xb) = edge
+            u, v = (la - 1) * size + xa, (lb - 1) * size + xb
+            if not (0 <= xa < size and 0 <= xb < size and 0 <= u < v < n):
+                return False
+        except (TypeError, ValueError):
+            return False
+        if self._sorted_keys is None:
+            self._sorted_keys = np.sort(np.concatenate([edge_keys(p, n) for p in self.parts]))
+        i = np.searchsorted(self._sorted_keys, u * n + v)
+        return bool(i < len(self._sorted_keys) and self._sorted_keys[i] == u * n + v)
+
+
 @dataclass(frozen=True)
 class LayeredGraph:
     num_layers: int
     layer_size: int
-    edges: frozenset[Edge]
+    edges: AbstractSet[Edge]
 
     @property
     def n_vertices(self) -> int:
@@ -85,6 +142,13 @@ class LayeredGraph:
     def flat_edges(self) -> list[tuple[int, int]]:
         return sorted((self.flat_id(u), self.flat_id(v)) for u, v in self.edges)
 
+    def edge_array(self) -> np.ndarray:
+        """The edges as a sorted (m, 2) int64 array of flat ids, smaller id first."""
+        if isinstance(self.edges, EdgeView) and len(self.edges.parts) == 1:
+            return self.edges.parts[0]
+        edges = np.sort(np.array(self.flat_edges(), dtype=np.int64).reshape(-1, 2), axis=1)
+        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
 
 @dataclass(frozen=True)
 class LayeredPath:
@@ -97,13 +161,6 @@ class LayeredPath:
     @property
     def final(self) -> Vertex:
         return self.vertices[-1]
-
-    def edges(self) -> Iterator[Edge]:
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            yield make_edge(a, b)
-
-    def is_layered(self) -> bool:
-        return all(b[0] == a[0] + 1 for a, b in zip(self.vertices, self.vertices[1:]))
 
 
 @dataclass(frozen=True)
@@ -137,12 +194,53 @@ class DupParams:
         return self.side**self.d
 
 
-@dataclass(frozen=True)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a flattened array (np.unique's hashing
+    made it the slowest step of verify_dup on small graphs)."""
+    values = np.sort(values, axis=None)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _flat_paths(paths: np.ndarray, layer_size: int) -> np.ndarray:
+    """Path vertices as flat ids."""
+    return paths + np.arange(paths.shape[-1]) * layer_size
+
+
+def _path_edges(paths: np.ndarray, layer_size: int) -> np.ndarray:
+    """The edges the paths use, sorted and distinct, in flat ids."""
+    ids = _flat_paths(paths, layer_size)
+    n = paths.shape[-1] * layer_size
+    keys = _distinct(ids[..., :-1] * n + ids[..., 1:])
+    return np.column_stack(np.divmod(keys, n))
+
+
+@dataclass(frozen=True, eq=False)
 class DupGraph:
-    graph: LayeredGraph
-    upcs: tuple[Upc, ...]
+    """A layered graph with its path collections (see the module
+    docstring).  ``edges`` is derived from ``paths`` when not given."""
+
+    paths: np.ndarray                   # (q, p, num_layers) layer-local indices
+    layer_size: int
     params: DupParams
     avg_free: AvgFreeSet | None
+    edges: np.ndarray | None = None     # (m, 2) flat ids
+
+    def __post_init__(self):
+        if self.edges is None:
+            object.__setattr__(self, "edges", _path_edges(self.paths, self.layer_size))
+
+    @cached_property
+    def graph(self) -> LayeredGraph:
+        layers, size = self.paths.shape[-1], self.layer_size
+        return LayeredGraph(layers, size, EdgeView((self.edges,), size, layers * size))
+
+    @cached_property
+    def upcs(self) -> tuple[Upc, ...]:
+        return tuple(
+            Upc(index=i, paths=tuple(LayeredPath(tuple(enumerate(row, start=1)))
+                                     for row in rows))
+            for i, rows in enumerate(self.paths.tolist(), start=1)
+        )
 
 
 @dataclass(frozen=True)
@@ -205,22 +303,13 @@ def build_dup(ell: int, d: int, k: int, budget: Budget | None = None) -> DupGrap
             f"cap is {budget.max_vectors}"
         )
     side = (k + 2) * ell
-    edges: set[Edge] = set()
-    upcs = []
-    for i, x in enumerate(sorted(product(range(1, ell + 1), repeat=d)), start=1):
-        paths = []
-        for y in a_set.members:
-            verts = tuple(
-                (m, encode_vector(tuple(xc + m * yc for xc, yc in zip(x, y)), side))
-                for m in range(1, k + 2)
-            )
-            path = LayeredPath(verts)
-            paths.append(path)
-            edges.update(path.edges())
-        upcs.append(Upc(index=i, paths=tuple(paths)))
-    graph = LayeredGraph(num_layers=k + 1, layer_size=side**d, edges=frozenset(edges))
+    x = np.indices((ell,) * d).reshape(d, q).T + 1                 # shifts, lexicographic
+    y = np.array(a_set.members, dtype=np.int64).reshape(p, d)      # directions
+    m = np.arange(1, k + 2)[:, None]
+    coords = x[:, None, None, :] + m * y[None, :, None, :]         # (q, p, k+1, d)
+    paths = (coords - 1) @ side ** np.arange(d - 1, -1, -1, dtype=np.int64)
     params = DupParams(ell=ell, d=d, k=k, p=p, q=q, padded=(0,) * (k + 1))
-    return DupGraph(graph=graph, upcs=tuple(upcs), params=params, avg_free=a_set)
+    return DupGraph(paths=paths, layer_size=side**d, params=params, avg_free=a_set)
 
 
 def pad_dup(dup: DupGraph, layer_size: int) -> DupGraph:
@@ -228,12 +317,11 @@ def pad_dup(dup: DupGraph, layer_size: int) -> DupGraph:
     base = dup.params.base_layer_size
     if layer_size < base:
         raise InvalidInputError(f"cannot pad layers of size {base} down to {layer_size}")
-    if layer_size == dup.graph.layer_size:
+    if layer_size == dup.layer_size:
         return dup
-    pad = layer_size - base
-    graph = replace(dup.graph, layer_size=layer_size)
-    params = replace(dup.params, padded=(pad,) * dup.graph.num_layers)
-    return DupGraph(graph=graph, upcs=dup.upcs, params=params, avg_free=dup.avg_free)
+    edges = dup.edges // dup.layer_size * layer_size + dup.edges % dup.layer_size
+    params = replace(dup.params, padded=(layer_size - base,) * dup.paths.shape[-1])
+    return replace(dup, layer_size=layer_size, params=params, edges=edges)
 
 
 def build_dup_from_size(n: int, k: int, budget: Budget | None = None) -> DupGraph:
@@ -243,157 +331,119 @@ def build_dup_from_size(n: int, k: int, budget: Budget | None = None) -> DupGrap
     return pad_dup(dup, n // (k + 1))
 
 
-def forward_adjacency(graph: LayeredGraph) -> dict[Vertex, list[Vertex]]:
-    """Next-layer neighbour lists; build once when checking many pairs."""
-    forward: dict[Vertex, list[Vertex]] = {}
-    for u, v in graph.edges:
-        if v[0] == u[0] + 1:
-            forward.setdefault(u, []).append(v)
-        elif u[0] == v[0] + 1:
-            forward.setdefault(v, []).append(u)
-    return forward
+def path_lut(dup: DupGraph, i: int, j: int, w: int) -> np.ndarray:
+    """Flat id, in the product graph of block width w, of every flat id
+    of a graph of layer width w routed along collection i's path j:
+    inner vertex (layer, x) goes to (layer, u * w + x), with u the path's
+    vertex in that layer.  Increasing, so it keeps sorted edge arrays
+    sorted.  Index arrays i and j broadcast, giving one table per pair
+    along the last axis."""
+    starts = _flat_paths(dup.paths[i - 1, j - 1], dup.layer_size) * w
+    return (starts[..., None] + np.arange(w)).reshape(*starts.shape[:-1], -1)
 
 
-def enumerate_layered_paths(
-    graph: LayeredGraph, s: Vertex, t: Vertex, budget: Budget | None = None,
-    forward: dict[Vertex, list[Vertex]] | None = None,
-) -> list[LayeredPath]:
-    """All layered paths from s up to t, one vertex per layer in between.
+def _graph_keys(dup: DupGraph) -> np.ndarray:
+    """The edge set as sorted distinct keys u * n + v with u < v."""
+    n = dup.paths.shape[-1] * dup.layer_size
+    return _distinct(edge_keys(np.sort(dup.edges, axis=1), n))
 
-    Only edges between consecutive layers can take part.  Search effort
-    is capped by the path budget.
+
+def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
+    """Layered path counts between collection endpoints, capped at 2.
+
+    ``counts[i-1, j-1, h-1]`` is the number of layered paths in the whole
+    graph from the start of collection i's path j to the final vertex of
+    its path h (2 meaning two or more).  Only edges between consecutive
+    layers take part.  One pass counts from every distinct layer-1 path
+    start at once: a frontier of (start, vertex, count) rows advances a
+    layer per step, and rows meeting at one vertex merge.  The rows made
+    over the pass, the initial ones included, count against
+    ``budget.max_paths``; going past it raises BudgetExceededError.
     """
     budget = budget or default_budget()
-    if not (graph.has_vertex(s) and graph.has_vertex(t)):
-        raise InvalidInputError(f"endpoints {s}, {t} outside the graph")
-    if t[0] <= s[0]:
-        return []
-    if forward is None:
-        forward = forward_adjacency(graph)
-    found: list[LayeredPath] = []
-    visited = 0
-    stack: list[tuple[Vertex, ...]] = [(s,)]
-    while stack:
-        prefix = stack.pop()
-        visited += 1
-        if visited > budget.max_paths:
-            raise BudgetExceededError(f"path enumeration exceeded cap {budget.max_paths}")
-        head = prefix[-1]
-        if head[0] == t[0] - 1:
-            for nxt in forward.get(head, ()):
-                if nxt == t:
-                    found.append(LayeredPath(prefix + (t,)))
-            continue
-        for nxt in forward.get(head, ()):
-            stack.append(prefix + (nxt,))
-    found.sort(key=lambda path: path.vertices)
-    return found
-
-
-def verify_upc(
-    graph: LayeredGraph, upc: Upc, budget: Budget | None = None,
-    forward: dict[Vertex, list[Vertex]] | None = None,
-) -> bool:
-    """Check one collection against the whole graph it lives in."""
-    budget = budget or default_budget()
-    if forward is None:
-        forward = forward_adjacency(graph)
-    seen: set[Vertex] = set()
-    for path in upc.paths:
-        if len(path.vertices) != graph.num_layers:
-            return False
-        if path.vertices[0][0] != 1 or not path.is_layered():
-            return False
-        if any(not graph.has_vertex(v) for v in path.vertices):
-            return False
-        if any(e not in graph.edges for e in path.edges()):
-            return False
-        if seen & set(path.vertices):
-            return False
-        seen.update(path.vertices)
-    ends = {(p.start, p.final): p for p in upc.paths}
-    for s in upc.starts():
-        for t in upc.finals():
-            paths = enumerate_layered_paths(graph, s, t, budget, forward=forward)
-            expected = [ends[(s, t)]] if (s, t) in ends else []
-            if paths != expected:
-                return False
-    return True
+    paths, size = dup.paths, dup.layer_size
+    layers = paths.shape[-1]
+    n = layers * size
+    tails, heads = np.divmod(_graph_keys(dup), n)
+    forward = heads // size == tails // size + 1
+    tails, heads = tails[forward], heads[forward]
+    first = paths[..., 0]
+    starts = _distinct(first[(0 <= first) & (first < size)])
+    src, vert, count = np.arange(len(starts)), starts, np.ones(len(starts), dtype=np.int64)
+    rows = len(src)
+    for _ in range(layers - 1):
+        lo = np.searchsorted(tails, vert, "left")
+        deg = np.searchsorted(tails, vert, "right") - lo
+        total = int(deg.sum())
+        rows += total
+        if rows > budget.max_paths:
+            raise BudgetExceededError(f"path counting exceeded {budget.max_paths} frontier rows")
+        step = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(total)
+        key = np.repeat(src, deg) * n + heads[step]
+        order = np.argsort(key, kind="stable")
+        key, merged = key[order], np.repeat(count, deg)[order]
+        cuts = np.flatnonzero(np.diff(key, prepend=-1))
+        count = np.minimum(np.add.reduceat(merged, cuts), 2)
+        src, vert = np.divmod(key[cuts], n)
+    # one (q, p, p) lookup: start of path j against the final of path h
+    found = src * n + vert
+    query = (np.searchsorted(starts, first) * n)[:, :, None] + (paths[..., -1] + n - size)[:, None, :]
+    pos = np.searchsorted(found, query)
+    return np.where(np.r_[found, -1][pos] == query, np.r_[count, 0][pos], 0)
 
 
 def _recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
     """Reconstruct the direction set from path coordinates, if coherent."""
-    params = dup.params
-    side = params.side
-    directions: list[Vector] | None = None
-    for upc in dup.upcs:
-        shift: Vector | None = None
-        dirs = []
-        for path in upc.paths:
-            if len(path.vertices) < 2:
-                return None
-            if any(idx >= params.base_layer_size for _, idx in path.vertices):
-                return None
-            vecs = [decode_index(idx, side, params.d) for _, idx in path.vertices]
-            y = tuple(b - a for a, b in zip(vecs[0], vecs[1]))
-            x = tuple(a - yc for a, yc in zip(vecs[0], y))
-            if any(not 1 <= c <= params.ell for c in y):
-                return None
-            if any(not 1 <= c <= params.ell for c in x):
-                return None
-            for m, vec in enumerate(vecs, start=1):
-                if vec != tuple(xc + m * yc for xc, yc in zip(x, y)):
-                    return None
-            if shift is None:
-                shift = x
-            elif shift != x:
-                return None
-            dirs.append(y)
-        if directions is None:
-            directions = dirs
-        elif directions != dirs:
-            return None
-    if not directions or len(set(directions)) != len(directions):
+    params, paths = dup.params, dup.paths
+    if 0 in paths.shape or paths.shape[-1] < 2:
         return None
-    norms = {sum(c * c for c in y) for y in directions}
-    if len(norms) != 1:
+    if not ((0 <= paths) & (paths < params.base_layer_size)).all():
         return None
-    return AvgFreeSet(
-        ell=params.ell, d=params.d, norm_sq=norms.pop(), members=tuple(sorted(directions))
-    )
+    ell, side = params.ell, params.side
+    vecs = paths[..., None] // side ** np.arange(params.d - 1, -1, -1) % side + 1
+    y = vecs[:, :, 1] - vecs[:, :, 0]                   # (q, p, d)
+    x = vecs[:, :, 0] - y
+    m = np.arange(1, paths.shape[-1] + 1)[:, None]
+    coherent = (((1 <= y) & (y <= ell)).all() and ((1 <= x) & (x <= ell)).all()
+                and (vecs == x[:, :, None] + m * y[:, :, None]).all()
+                and (x == x[:, :1]).all() and (y == y[:1]).all())
+    directions = sorted(map(tuple, y[0].tolist()))
+    norms = (y[0] ** 2).sum(axis=1)
+    if not coherent or len(set(directions)) != len(directions) or (norms != norms[0]).any():
+        return None
+    return AvgFreeSet(ell=ell, d=params.d, norm_sq=int(norms[0]), members=tuple(directions))
 
 
 def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationReport:
     """Structural report: layering, edge partition, every collection unique."""
-    budget = budget or default_budget()
-    params = dup.params
+    params, paths, size = dup.params, dup.paths, dup.layer_size
+    q, p, layers = paths.shape
+    n = layers * size
     report = VerificationReport()
-    graph = dup.graph
-    report.add("layering", graph.well_formed() and graph.is_strict())
-    report.add("layer_count", graph.num_layers == params.k + 1,
-               f"expected {params.k + 1} layers, found {graph.num_layers}")
+    u, v = np.sort(dup.edges, axis=1).T
+    report.add("layering", bool(np.all((0 <= u) & (v < n) & (v // size == u // size + 1))))
+    report.add("layer_count", layers == params.k + 1,
+               f"expected {params.k + 1} layers, found {layers}")
     report.add(
         "padding",
-        len(params.padded) == graph.num_layers
-        and all(c == graph.layer_size - params.base_layer_size for c in params.padded),
+        len(params.padded) == layers
+        and all(c == size - params.base_layer_size and c >= 0 for c in params.padded),
         "pad counts disagree with layer size",
     )
 
-    counts = {params.q == len(dup.upcs), params.q == params.ell**params.d}
-    counts.add(all(len(u.paths) == params.p for u in dup.upcs))
-    report.add("collection_counts", all(counts),
+    counts_ok = params.q == q == params.ell**params.d and p == params.p
+    report.add("collection_counts", counts_ok,
                f"expected q={params.q} collections of p={params.p} paths")
     bound = ceil_div(params.ell**params.d, params.d * params.ell**2)
     report.add("direction_count_bound", params.p >= bound,
                f"p={params.p} below pigeonhole bound {bound}")
 
-    covered: dict[Edge, int] = {}
-    for upc in dup.upcs:
-        for path in upc.paths:
-            for e in path.edges():
-                covered[e] = covered.get(e, 0) + 1
-    partition_ok = set(covered) == set(graph.edges) and all(c == 1 for c in covered.values())
-    report.add("edge_partition", partition_ok,
+    in_range = ((0 <= paths) & (paths < size)).all(axis=(1, 2))
+    ids = _flat_paths(paths, size)
+    path_keys = ids[..., :-1] * n + ids[..., 1:]
+    keys = _graph_keys(dup)
+    report.add("edge_partition",
+               bool(in_range.all()) and np.array_equal(np.sort(path_keys, axis=None), keys),
                "path edges do not partition the edge set")
 
     recovered = _recover_avg_free(dup)
@@ -403,15 +453,13 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
     report.add("construction_consistent", consistent,
                "paths are not arithmetic progressions over a single direction set")
 
-    all_upcs_ok = True
-    forward = forward_adjacency(graph)
-    for upc in dup.upcs:
-        if not verify_upc(graph, upc, budget, forward=forward):
-            all_upcs_ok = False
-            report.add("unique_paths", False, f"collection {upc.index} fails")
-            break
-    if all_upcs_ok:
-        report.add("unique_paths", True)
+    # per collection: its paths lie in the graph and the p x p (start, final)
+    # path counts are the identity.  That makes the paths vertex-disjoint:
+    # paths j != h through one vertex would join start j to final h.
+    on_graph = (np.r_[keys, -1][np.searchsorted(keys, path_keys)] == path_keys).all(axis=(1, 2))
+    unique = (path_counts(dup, budget) == np.eye(p, dtype=np.int64)).all(axis=(1, 2))
+    bad = np.flatnonzero(~(in_range & on_graph & unique))
+    report.add("unique_paths", not len(bad), f"collection {bad[0] + 1} fails" if len(bad) else "")
     return report
 
 
@@ -429,17 +477,22 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
 
 def write_dup(dup: DupGraph, fh: IO[str]) -> None:
     params = dup.params
-    g = dup.graph
     fh.write(
-        f"dupg 1 {g.num_layers} {g.layer_size} {params.p} {params.q} "
+        f"dupg 1 {dup.paths.shape[-1]} {dup.layer_size} {params.p} {params.q} "
         f"{params.ell} {params.d}\n"
     )
-    for upc in dup.upcs:
-        for j, path in enumerate(upc.paths, start=1):
-            idxs = " ".join(str(idx) for _, idx in path.vertices)
-            fh.write(f"upc {upc.index} {j} {idxs}\n")
+    for i, rows in enumerate(dup.paths.tolist(), start=1):
+        for j, row in enumerate(rows, start=1):
+            fh.write(f"upc {i} {j} {' '.join(map(str, row))}\n")
     for pad in params.padded:
         fh.write(f"pad {pad}\n")
+
+
+def _ints(fields: list[str], line: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise FormatError(f"non-integer field in {line!r}") from exc
 
 
 def read_dup(fh: IO[str]) -> DupGraph:
@@ -449,54 +502,38 @@ def read_dup(fh: IO[str]) -> DupGraph:
     head = lines[0].split()
     if len(head) != 8 or head[0] != "dupg" or head[1] != "1":
         raise FormatError(f"bad dupg header: {lines[0]!r}")
-    try:
-        num_layers, layer_size, p, q, ell, d = (int(x) for x in head[2:])
-    except ValueError as exc:
-        raise FormatError(f"non-integer header field in {lines[0]!r}") from exc
+    num_layers, layer_size, p, q, ell, d = _ints(head[2:], lines[0])
     if num_layers < 2 or layer_size < 1 or p < 1 or q < 1 or ell < 1 or d < 1:
         raise FormatError("header fields out of range")
-    expected = [(i, j) for i in range(1, q + 1) for j in range(1, p + 1)]
+    k = num_layers - 1
+    base = ((k + 2) * ell) ** d
+    if layer_size < base:
+        raise FormatError(f"layer size {layer_size} is below the construction's {base}")
     if len(lines) != 1 + q * p + num_layers:
         raise FormatError(
             f"expected {q * p} path lines and {num_layers} pad lines, "
             f"found {len(lines) - 1}"
         )
-    upc_paths: dict[int, list[LayeredPath]] = {i: [] for i in range(1, q + 1)}
+    rows = []
     for pos, line in enumerate(lines[1 : 1 + q * p]):
         parts = line.split()
         if parts[0] != "upc" or len(parts) != 3 + num_layers:
             raise FormatError(f"bad path line: {line!r}")
-        i, j = int(parts[1]), int(parts[2])
-        if (i, j) != expected[pos]:
+        i, j, *idxs = _ints(parts[1:], line)
+        if (i, j) != (pos // p + 1, pos % p + 1):
             raise FormatError(f"path lines out of order at {line!r}")
-        idxs = [int(x) for x in parts[3:]]
         if any(not 0 <= v < layer_size for v in idxs):
             raise FormatError(f"vertex index out of range in {line!r}")
-        upc_paths[i].append(LayeredPath(tuple(enumerate(idxs, start=1))))
+        rows.append(idxs)
     pads = []
     for line in lines[1 + q * p :]:
         parts = line.split()
         if parts[0] != "pad" or len(parts) != 2:
             raise FormatError(f"bad pad line: {line!r}")
-        pads.append(int(parts[1]))
-    k = num_layers - 1
-    base = ((k + 2) * ell) ** d
+        pads.extend(_ints(parts[1:], line))
     if any(c != layer_size - base for c in pads):
         raise FormatError("pad counts disagree with layer size and dimensions")
-    edges: set[Edge] = set()
-    upcs = []
-    for i in range(1, q + 1):
-        paths = tuple(upc_paths[i])
-        for path in paths:
-            edges.update(path.edges())
-        upcs.append(Upc(index=i, paths=paths))
-    graph = LayeredGraph(num_layers=num_layers, layer_size=layer_size, edges=frozenset(edges))
+    paths = np.array(rows, dtype=np.int64).reshape(q, p, num_layers)
     params = DupParams(ell=ell, d=d, k=k, p=p, q=q, padded=tuple(pads))
-    dup = DupGraph(graph=graph, upcs=tuple(upcs), params=params, avg_free=None)
+    dup = DupGraph(paths=paths, layer_size=layer_size, params=params, avg_free=None)
     return replace(dup, avg_free=_recover_avg_free(dup))
-
-
-if __name__ == "__main__":
-    dup = build_dup(ell=2, d=2, k=1)
-    print(f"q={dup.params.q} p={dup.params.p} layer={dup.graph.layer_size}")
-    print(verify_dup(dup).summary())

@@ -22,13 +22,17 @@ import io
 from dataclasses import dataclass
 from typing import IO, Mapping
 
+import numpy as np
+
 from .dupgraph import (
     DupGraph,
     Edge,
+    EdgeView,
     LayeredGraph,
-    LayeredPath,
-    Vertex,
+    edge_keys,
+    edge_pairs,
     make_edge,
+    path_lut,
     read_dup,
     write_dup,
 )
@@ -67,14 +71,6 @@ class EmbeddedGraph:
     inner_layer_size: int
 
 
-def _block_vertex(path: LayeredPath, inner: Vertex, w: int) -> Vertex:
-    layer, x = inner
-    u_layer, u_idx = path.vertices[layer - 1]
-    if u_layer != layer:
-        raise InvalidInputError("path does not span the inner layer range")
-    return (layer, u_idx * w + x)
-
-
 def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
     """Route every family member along its collection path."""
     if not family.well_formed():
@@ -89,24 +85,28 @@ def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
             f"family spans {family.num_layers} layers, outer graph has "
             f"{dup.graph.num_layers}"
         )
-    w = family.layer_size
-    provenance: dict[Edge, tuple[int, int]] = {}
-    for upc in dup.upcs:
-        for j, path in enumerate(upc.paths, start=1):
-            inner = family.member(upc.index, j)
-            for a, b in inner.edges:
-                e = make_edge(_block_vertex(path, a, w), _block_vertex(path, b, w))
-                if e in provenance:
-                    raise InvalidInputError(
-                        f"edge collision at {e}: collections "
-                        f"{provenance[e]} and {(upc.index, j)} overlap"
-                    )
-                provenance[e] = (upc.index, j)
-    graph = LayeredGraph(
-        num_layers=dup.graph.num_layers,
-        layer_size=dup.graph.layer_size * w,
-        edges=frozenset(provenance),
-    )
+    w, q, p = family.layer_size, family.q, family.p
+    size = dup.graph.layer_size * w
+    n = dup.graph.num_layers * size
+    # one row (i, j, inner u, inner v) per member edge, i and j 0-based
+    rows = np.array([(i, j, (la - 1) * w + xa, (lb - 1) * w + xb)
+                     for i in range(q) for j in range(p)
+                     for (la, xa), (lb, xb) in family.members[i][j].edges],
+                    dtype=np.int64).reshape(-1, 4)
+    luts = path_lut(dup, np.arange(1, q + 1)[:, None], np.arange(1, p + 1), w)
+    edges = np.sort(luts[rows[:, :1], rows[:, 1:2], rows[:, 2:]], axis=1)
+    order = np.argsort(edge_keys(edges, n), kind="stable")
+    edges, owners = edges[order], (rows[order, :2] + 1).tolist()
+    clash = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    if len(clash):
+        c = clash[0]
+        raise InvalidInputError(
+            f"edge collision at {next(edge_pairs(edges[c:c + 1], size))}: collections "
+            f"{tuple(owners[c])} and {tuple(owners[c + 1])} overlap"
+        )
+    provenance = dict(zip(edge_pairs(edges, size), map(tuple, owners)))
+    graph = LayeredGraph(num_layers=dup.graph.num_layers, layer_size=size,
+                         edges=EdgeView((edges,), size, n))
     return EmbeddedGraph(graph=graph, provenance=provenance, inner_layer_size=w)
 
 
@@ -117,23 +117,15 @@ def induced_on_upc(emb: EmbeddedGraph, dup: DupGraph, i: int) -> LayeredGraph:
     result is directly comparable with a disjoint union of the family
     members routed along collection i.
     """
-    w = emb.inner_layer_size
-    upc = dup.upcs[i - 1]
-    relabel: dict[Vertex, Vertex] = {}
-    for j, path in enumerate(upc.paths, start=1):
-        for layer, u_idx in path.vertices:
-            for x in range(w):
-                relabel[(layer, u_idx * w + x)] = (layer, (j - 1) * w + x)
-    edges = {
-        make_edge(relabel[u], relabel[v])
-        for u, v in emb.graph.edges
-        if u in relabel and v in relabel
-    }
-    return LayeredGraph(
-        num_layers=emb.graph.num_layers,
-        layer_size=len(upc.paths) * w,
-        edges=frozenset(edges),
-    )
+    w, g, p = emb.inner_layer_size, emb.graph, dup.paths.shape[1]
+    inner = np.arange(g.num_layers * w)
+    relabel = np.full(g.n_vertices, -1)
+    relabel[path_lut(dup, i, np.arange(1, p + 1), w)] = (
+        inner // w * (p * w) + np.arange(p)[:, None] * w + inner % w)
+    mapped = relabel[g.edge_array()]
+    kept = np.sort(mapped[(mapped >= 0).all(axis=1)], axis=1)
+    return LayeredGraph(num_layers=g.num_layers, layer_size=p * w,
+                        edges=frozenset(edge_pairs(kept, p * w)))
 
 
 def _expected_union(family: GraphFamily, i: int) -> frozenset[Edge]:
@@ -202,25 +194,24 @@ def read_embedded(fh: IO[str]) -> tuple[EmbeddedGraph, DupGraph, GraphFamily]:
         parts = line.split()
         if parts[0] != "emb" or len(parts) != 5:
             raise FormatError(f"bad emb line: {line!r}")
-        i, j, a, b = (int(x) for x in parts[1:])
+        try:
+            i, j, a, b = (int(x) for x in parts[1:])
+        except ValueError as exc:
+            raise FormatError(f"non-integer field in {line!r}") from exc
         if not (1 <= i <= dup.params.q and 1 <= j <= dup.params.p):
             raise FormatError(f"collection index out of range in {line!r}")
         if not all(0 <= v < num_layers * prod_size for v in (a, b)):
             raise FormatError(f"vertex id out of range in {line!r}")
-        path = dup.upcs[i - 1].paths[j - 1]
-        inner = []
-        for flat in (a, b):
-            layer, idx = product.unflat(flat)
-            u_idx = path.vertices[layer - 1][1]
-            x = idx - u_idx * w
-            if not 0 <= x < w:
-                raise FormatError(f"edge {line!r} is not aligned with its path block")
-            inner.append((layer, x))
+        lut = path_lut(dup, i, j, w)
+        pos = np.searchsorted(lut, [a, b])
+        if not (pos < len(lut)).all() or (lut[pos] != [a, b]).any():
+            raise FormatError(f"edge {line!r} is not aligned with its path block")
         e = make_edge(product.unflat(a), product.unflat(b))
         if e in provenance:
             raise FormatError(f"duplicate embedded edge in {line!r}")
         provenance[e] = (i, j)
-        inner_edges.setdefault((i, j), set()).add(make_edge(inner[0], inner[1]))
+        inner = [(int(x) // w + 1, int(x) % w) for x in pos]
+        inner_edges.setdefault((i, j), set()).add(make_edge(*inner))
     members = tuple(
         tuple(
             LayeredGraph(

@@ -36,23 +36,24 @@ import json
 import math
 import re
 import warnings
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
 from .budgets import Budget, default_budget
 from .dupgraph import (
     DupGraph,
-    Edge,
+    EdgeView,
     LayeredGraph,
-    LayeredPath,
     Vertex,
     build_dup,
     build_dup_from_size,
+    edge_keys,
+    edge_pairs,
     pad_dup,
+    path_lut,
 )
 from .errors import (
     FormatError,
@@ -195,62 +196,6 @@ def plan_levels(params: ParamTable | ToyParams, budget: Budget | None = None) ->
     return plans
 
 
-def _keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """One int64 per edge, ordered as the edges' (u, v) pairs."""
-    return edges[:, 0] * n + edges[:, 1]
-
-
-def _ascending(keys: np.ndarray) -> bool:
-    return bool(np.all(keys[1:] > keys[:-1]))
-
-
-def _pairs(edges: np.ndarray, layer_size: int) -> Iterator[Edge]:
-    """Flat-id edges as ((layer, idx), (layer, idx)) pairs."""
-    for u, v in edges.tolist():
-        yield (u // layer_size + 1, u % layer_size), (v // layer_size + 1, v % layer_size)
-
-
-class EdgeView(AbstractSet):
-    """A read-only set of ``(layer, idx)`` edge pairs over disjoint ``(m, 2)``
-    flat-id arrays, each sorted by (u, v) with u < v.  ``len`` touches no
-    edge, membership is a binary search, and only iteration builds tuple
-    pairs.  Set operations with other sets return frozensets."""
-
-    def __init__(self, parts: tuple[np.ndarray, ...], layer_size: int, n: int):
-        self.parts, self.layer_size, self.n = parts, layer_size, n
-        self._sorted_keys: np.ndarray | None = None     # built on the first lookup
-
-    _from_iterable = frozenset      # what the Set mixin methods build
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    def __iter__(self) -> Iterator[Edge]:
-        for part in self.parts:
-            yield from _pairs(part, self.layer_size)
-
-    def __contains__(self, edge) -> bool:
-        size, n = self.layer_size, self.n
-        try:
-            (la, xa), (lb, xb) = edge
-            u, v = (la - 1) * size + xa, (lb - 1) * size + xb
-            if not (0 <= xa < size and 0 <= xb < size and 0 <= u < v < n):
-                return False
-        except (TypeError, ValueError):
-            return False
-        if self._sorted_keys is None:
-            self._sorted_keys = np.sort(np.concatenate([_keys(p, n) for p in self.parts]))
-        i = np.searchsorted(self._sorted_keys, u * n + v)
-        return bool(i < len(self._sorted_keys) and self._sorted_keys[i] == u * n + v)
-
-
-def _path_lut(path: LayeredPath, w: int, layer_size: int) -> np.ndarray:
-    """Left-copy flat id of every flat id of the sub-instance embedded
-    along ``path``.  Increasing, so it keeps sorted edge arrays sorted."""
-    starts = [(layer - 1) * layer_size + u_idx * w for layer, u_idx in path.vertices]
-    return (np.array(starts, dtype=np.int64)[:, None] + np.arange(w)).ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A hard instance; ``player_edges[a]`` holds player a+1's edges (see
@@ -304,16 +249,15 @@ class Instance:
         vertices, and sub-instance (t, j)'s edges mapped onto them."""
         if side not in ("L", "R"):
             raise InvalidInputError(f"side must be 'L' or 'R', got {side!r}")
-        size = self.graph.layer_size
-        lut = _path_lut(self.dup.upcs[self.t - 1].paths[j - 1], self.inner_layer_size, size)
-        lut += (side == "R") * self.half_layers * size
+        lut = path_lut(self.dup, self.t, j, self.inner_layer_size)
+        lut += (side == "R") * self.half_layers * self.graph.layer_size
         return lut, lut[np.concatenate(self.subinstance(self.t, j).player_edges)]
 
     def special_subgraph(self, side: str, j: int) -> Subgraph:
         """The j-th special block subgraph of one copy, as a vertex/edge view."""
         verts, edges = self._special_blocks(side, j)
         return Subgraph(vertices=frozenset(map(self.graph.unflat, verts.tolist())),
-                        edges=frozenset(_pairs(edges, self.graph.layer_size)))
+                        edges=frozenset(edge_pairs(edges, self.graph.layer_size)))
 
     def pullback_special(self, side: str, j: int, vertices) -> frozenset:
         """Map block vertices of a special subgraph back to inner vertices."""
@@ -324,6 +268,10 @@ class Instance:
                              for v in vertices)
         except KeyError:
             raise InvalidInputError(f"a vertex is outside block {j} of side {side}") from None
+
+
+def _ascending(keys: np.ndarray) -> bool:
+    return bool(np.all(keys[1:] > keys[:-1]))
 
 
 def _base_edges(bits: str) -> np.ndarray:
@@ -342,12 +290,9 @@ def _base_instance(n_0: int, bits: str) -> Instance:
 def _nonspecial_left(dup: DupGraph, t: int, w: int) -> np.ndarray:
     """Sorted left-copy flat ids of the block vertices off collection t's
     paths; adding half the layers' ids gives their right-copy mirrors."""
-    b = dup.graph.layer_size
-    keep = np.ones((dup.graph.num_layers, b), dtype=bool)
-    layer, u_idx = np.array([v for path in dup.upcs[t - 1].paths for v in path.vertices]).T
-    keep[layer - 1, u_idx] = False
-    layer0, u_idx = np.nonzero(keep)
-    return (((layer0 * b + u_idx) * w)[:, None] + np.arange(w)).ravel()
+    keep = np.ones(dup.graph.n_vertices * w, dtype=bool)
+    keep[np.concatenate([path_lut(dup, t, j, w) for j in range(1, dup.params.p + 1)])] = False
+    return np.flatnonzero(keep)
 
 
 def _embedded_players(dup: DupGraph, w: int,
@@ -355,17 +300,16 @@ def _embedded_players(dup: DupGraph, w: int,
     """Every player's edges but the join's: each sub-instance's player a,
     mapped along its collection path into the left copy, sorted, then the
     same edges shifted into the right copy (all of whose ids are larger)."""
-    layer_size = dup.graph.layer_size * w
     mapped = []         # per sub-instance, its players' edges in left-copy ids
-    for upc, row in zip(dup.upcs, subs):
-        for path, sub in zip(upc.paths, row):
-            lut = _path_lut(path, w, layer_size)
+    for i, row in enumerate(subs, start=1):
+        for j, sub in enumerate(row, start=1):
+            lut = path_lut(dup, i, j, w)
             mapped.append([lut[edges] for edges in sub.player_edges])
     players = []
     for parts in zip(*mapped):      # one player's edges from every sub-instance
         left = np.concatenate(parts)
         left = left[np.lexsort((left[:, 1], left[:, 0]))]
-        players.append(np.concatenate([left, left + dup.graph.num_layers * layer_size]))
+        players.append(np.concatenate([left, left + dup.graph.n_vertices * w]))
     return players
 
 
@@ -470,12 +414,12 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
         n, size = g.n_vertices, g.layer_size
         u, v = np.concatenate(parts).T
         layering = bool(np.all((0 <= u) & (u < v) & (v < n) & (u // size != v // size))
-                        and all(_ascending(_keys(p, n)) for p in parts))
+                        and all(_ascending(edge_keys(p, n)) for p in parts))
         report.add(prefix + "layering", layering,
                    "malformed layered graph, or a player's edges are not sorted")
         if not layering:
             return      # every check below indexes by vertex id
-        every = np.sort(np.concatenate([_keys(p, n) for p in parts]))
+        every = np.sort(np.concatenate([edge_keys(p, n) for p in parts]))
         report.add(prefix + "player_partition", _ascending(every),
                    "player edge sets do not partition the graph")
         if node.r == 0:
@@ -503,7 +447,7 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
                    "special blocks overlap")
         inside = np.zeros(n, dtype=bool)
         inside[special] = True
-        union_special = np.sort(np.concatenate([_keys(edges, n) for _, edges in blocks]))
+        union_special = np.sort(np.concatenate([edge_keys(edges, n) for _, edges in blocks]))
         report.add(prefix + "special_induced",
                    np.array_equal(every[inside[u] & inside[v]], union_special),
                    "induced subgraph on special blocks has foreign or missing edges")

@@ -1,0 +1,207 @@
+"""Reference DUP verification: a per-pair DFS over a dict adjacency.
+
+It enumerates the layered paths between every start/final pair of every
+collection, one pair at a time, and reads only the tuple views
+(``dup.graph.edges``, ``dup.upcs``).  Slow and obviously correct;
+differential tests require ``misforge.dupgraph.verify_dup``, which counts
+paths in one capped pass, to give the same named verdicts.
+"""
+
+from __future__ import annotations
+
+from misforge.avgfree import AvgFreeSet, Vector
+from misforge.budgets import Budget, default_budget
+from misforge.dupgraph import (
+    DupGraph,
+    Edge,
+    LayeredGraph,
+    LayeredPath,
+    Upc,
+    Vertex,
+    decode_index,
+    make_edge,
+)
+from misforge.errors import BudgetExceededError, InvalidInputError
+from misforge.numutil import ceil_div
+from misforge.report import VerificationReport
+
+
+def path_edges(path: LayeredPath):
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        yield make_edge(a, b)
+
+
+def is_layered(path: LayeredPath) -> bool:
+    return all(b[0] == a[0] + 1 for a, b in zip(path.vertices, path.vertices[1:]))
+
+
+def forward_adjacency(graph: LayeredGraph) -> dict[Vertex, list[Vertex]]:
+    """Next-layer neighbour lists; build once when checking many pairs."""
+    forward: dict[Vertex, list[Vertex]] = {}
+    for u, v in graph.edges:
+        if v[0] == u[0] + 1:
+            forward.setdefault(u, []).append(v)
+        elif u[0] == v[0] + 1:
+            forward.setdefault(v, []).append(u)
+    return forward
+
+
+def enumerate_layered_paths(
+    graph: LayeredGraph, s: Vertex, t: Vertex, budget: Budget | None = None,
+    forward: dict[Vertex, list[Vertex]] | None = None,
+) -> list[LayeredPath]:
+    """All layered paths from s up to t, one vertex per layer in between.
+
+    Only edges between consecutive layers can take part.  Search effort
+    is capped by the path budget.
+    """
+    budget = budget or default_budget()
+    if not (graph.has_vertex(s) and graph.has_vertex(t)):
+        raise InvalidInputError(f"endpoints {s}, {t} outside the graph")
+    if t[0] <= s[0]:
+        return []
+    if forward is None:
+        forward = forward_adjacency(graph)
+    found: list[LayeredPath] = []
+    visited = 0
+    stack: list[tuple[Vertex, ...]] = [(s,)]
+    while stack:
+        prefix = stack.pop()
+        visited += 1
+        if visited > budget.max_paths:
+            raise BudgetExceededError(f"path enumeration exceeded cap {budget.max_paths}")
+        head = prefix[-1]
+        if head[0] == t[0] - 1:
+            for nxt in forward.get(head, ()):
+                if nxt == t:
+                    found.append(LayeredPath(prefix + (t,)))
+            continue
+        for nxt in forward.get(head, ()):
+            stack.append(prefix + (nxt,))
+    found.sort(key=lambda path: path.vertices)
+    return found
+
+
+def verify_upc(
+    graph: LayeredGraph, upc: Upc, budget: Budget | None = None,
+    forward: dict[Vertex, list[Vertex]] | None = None,
+) -> bool:
+    """Check one collection against the whole graph it lives in."""
+    budget = budget or default_budget()
+    if forward is None:
+        forward = forward_adjacency(graph)
+    seen: set[Vertex] = set()
+    for path in upc.paths:
+        if len(path.vertices) != graph.num_layers:
+            return False
+        if path.vertices[0][0] != 1 or not is_layered(path):
+            return False
+        if any(not graph.has_vertex(v) for v in path.vertices):
+            return False
+        if any(e not in graph.edges for e in path_edges(path)):
+            return False
+        if seen & set(path.vertices):
+            return False
+        seen.update(path.vertices)
+    ends = {(p.start, p.final): p for p in upc.paths}
+    for s in upc.starts():
+        for t in upc.finals():
+            paths = enumerate_layered_paths(graph, s, t, budget, forward=forward)
+            expected = [ends[(s, t)]] if (s, t) in ends else []
+            if paths != expected:
+                return False
+    return True
+
+
+def recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
+    """Reconstruct the direction set from path coordinates, if coherent."""
+    params = dup.params
+    side = params.side
+    directions: list[Vector] | None = None
+    for upc in dup.upcs:
+        shift: Vector | None = None
+        dirs = []
+        for path in upc.paths:
+            if len(path.vertices) < 2:
+                return None
+            if any(idx >= params.base_layer_size for _, idx in path.vertices):
+                return None
+            vecs = [decode_index(idx, side, params.d) for _, idx in path.vertices]
+            y = tuple(b - a for a, b in zip(vecs[0], vecs[1]))
+            x = tuple(a - yc for a, yc in zip(vecs[0], y))
+            if any(not 1 <= c <= params.ell for c in y):
+                return None
+            if any(not 1 <= c <= params.ell for c in x):
+                return None
+            for m, vec in enumerate(vecs, start=1):
+                if vec != tuple(xc + m * yc for xc, yc in zip(x, y)):
+                    return None
+            if shift is None:
+                shift = x
+            elif shift != x:
+                return None
+            dirs.append(y)
+        if directions is None:
+            directions = dirs
+        elif directions != dirs:
+            return None
+    if not directions or len(set(directions)) != len(directions):
+        return None
+    norms = {sum(c * c for c in y) for y in directions}
+    if len(norms) != 1:
+        return None
+    return AvgFreeSet(
+        ell=params.ell, d=params.d, norm_sq=norms.pop(), members=tuple(sorted(directions))
+    )
+
+
+def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationReport:
+    """Structural report: layering, edge partition, every collection unique."""
+    budget = budget or default_budget()
+    params = dup.params
+    report = VerificationReport()
+    graph = dup.graph
+    report.add("layering", graph.well_formed() and graph.is_strict())
+    report.add("layer_count", graph.num_layers == params.k + 1,
+               f"expected {params.k + 1} layers, found {graph.num_layers}")
+    report.add(
+        "padding",
+        len(params.padded) == graph.num_layers
+        and all(c == graph.layer_size - params.base_layer_size for c in params.padded),
+        "pad counts disagree with layer size",
+    )
+
+    counts = {params.q == len(dup.upcs), params.q == params.ell**params.d}
+    counts.add(all(len(u.paths) == params.p for u in dup.upcs))
+    report.add("collection_counts", all(counts),
+               f"expected q={params.q} collections of p={params.p} paths")
+    bound = ceil_div(params.ell**params.d, params.d * params.ell**2)
+    report.add("direction_count_bound", params.p >= bound,
+               f"p={params.p} below pigeonhole bound {bound}")
+
+    covered: dict[Edge, int] = {}
+    for upc in dup.upcs:
+        for path in upc.paths:
+            for e in path_edges(path):
+                covered[e] = covered.get(e, 0) + 1
+    partition_ok = set(covered) == set(graph.edges) and all(c == 1 for c in covered.values())
+    report.add("edge_partition", partition_ok,
+               "path edges do not partition the edge set")
+
+    recovered = recover_avg_free(dup)
+    consistent = recovered is not None and (
+        dup.avg_free is None or recovered.members == dup.avg_free.members
+    )
+    report.add("construction_consistent", consistent,
+               "paths are not arithmetic progressions over a single direction set")
+
+    all_upcs_ok = True
+    forward = forward_adjacency(graph)
+    for upc in dup.upcs:
+        if not verify_upc(graph, upc, budget, forward=forward):
+            all_upcs_ok = False
+            report.add("unique_paths", False, f"collection {upc.index} fails")
+            break
+    if all_upcs_ok:
+        report.add("unique_paths", True)
+    return report

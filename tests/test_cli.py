@@ -48,6 +48,13 @@ def test_verify_catches_mutation(tmp_path, capsys):
         assert "FAIL" in text
 
 
+def test_verify_rejects_layers_below_the_construction(tmp_path):
+    # layer size 4 is below ((k+2) * ell)^d = 6, so the pads would be negative
+    bad = tmp_path / "small.dupg"
+    bad.write_text("dupg 1 2 4 1 2 2 1\nupc 1 1 1 2\nupc 2 1 2 3\npad -2\npad -2\n")
+    assert main(["verify", "--in", str(bad)]) == 2
+
+
 def test_verify_budget_exceeded(tmp_path, monkeypatch):
     out = tmp_path / "g.dupg"
     main(["gen-dup", "--ell", "2", "--d", "2", "--k", "1", "--out", str(out)])

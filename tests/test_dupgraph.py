@@ -1,9 +1,13 @@
 import io
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dup_oracle
+from dup_oracle import enumerate_layered_paths, verify_upc
 from misforge import (
     Budget,
     BudgetExceededError,
@@ -12,21 +16,37 @@ from misforge import (
     build_dup,
     build_dup_from_size,
     derive_dup_dimensions,
-    enumerate_layered_paths,
     pad_dup,
+    path_counts,
     read_dup,
     verify_dup,
-    verify_upc,
     write_dup,
 )
 from misforge.dupgraph import (
+    DupGraph,
+    DupParams,
     LayeredGraph,
     LayeredPath,
-    Upc,
     decode_index,
     encode_vector,
     make_edge,
 )
+
+
+def with_edges(dup, edges):
+    """dup with its edge array replaced by a set of (layer, idx) pairs."""
+    g = dup.graph
+    return replace(dup, edges=LayeredGraph(g.num_layers, g.layer_size, frozenset(edges)).edge_array())
+
+
+def host(paths, edges, layer_size):
+    """A hand-made graph from nested lists of layer-local path indices,
+    one list per collection, and (layer, idx) edge pairs."""
+    paths = np.array(paths, dtype=np.int64)
+    q, p, layers = paths.shape
+    params = DupParams(ell=1, d=1, k=layers - 1, p=p, q=q, padded=(0,) * layers)
+    dup = DupGraph(paths=paths, layer_size=layer_size, params=params, avg_free=None)
+    return with_edges(dup, edges)
 
 
 # -- dimension derivation -----------------------------------------------------
@@ -105,6 +125,12 @@ def test_padding_appends_isolated_vertices():
     assert report.ok, report.failures()
 
 
+def test_padding_below_the_construction_fails():
+    dup = build_dup(2, 1, 1)     # layers of 6
+    small = replace(dup, layer_size=4, params=replace(dup.params, padded=(-2, -2)), edges=None)
+    assert not verify_dup(small).checks["padding"]
+
+
 def test_build_from_size_pads_to_equal_layers():
     dup = build_dup_from_size(72, 1)
     assert dup.graph.layer_size == 36
@@ -112,7 +138,7 @@ def test_build_from_size_pads_to_equal_layers():
     assert verify_dup(dup).ok
 
 
-# -- path enumeration ---------------------------------------------------------
+# -- path enumeration (the reference DFS) --------------------------------------
 
 
 def test_enumerate_single_edge():
@@ -130,6 +156,7 @@ def test_enumerate_diamond():
     )
     g = LayeredGraph(num_layers=3, layer_size=2, edges=edges)
     assert len(enumerate_layered_paths(g, (1, 0), (3, 0))) == 2
+    assert path_counts(host([[[0, 0, 0]]], edges, 2)).tolist() == [[[2]]]
 
 
 def test_enumerate_budget():
@@ -151,13 +178,9 @@ def test_verify_upc_on_build():
 
 
 def test_upc_sharing_a_vertex_fails():
-    edges = frozenset({((1, 0), (2, 0)), ((1, 1), (2, 0))})
-    g = LayeredGraph(num_layers=2, layer_size=2, edges=edges)
-    upc = Upc(index=1, paths=(
-        LayeredPath(vertices=((1, 0), (2, 0))),
-        LayeredPath(vertices=((1, 1), (2, 0))),
-    ))
-    assert not verify_upc(g, upc)
+    dup = host([[[0, 0], [1, 0]]], {((1, 0), (2, 0)), ((1, 1), (2, 0))}, 2)
+    assert not verify_upc(dup.graph, dup.upcs[0])
+    assert not verify_dup(dup).checks["unique_paths"]
 
 
 def shortcut_counterexample():
@@ -170,14 +193,14 @@ def shortcut_counterexample():
         edges.add(make_edge(p[0], p[1]))
         edges.add(make_edge(p[1], p[2]))
     edges.add(make_edge((2, 0), (3, 1)))  # the shortcut
-    g = LayeredGraph(num_layers=3, layer_size=2, edges=frozenset(edges))
-    upc = Upc(index=1, paths=(LayeredPath(vertices=p1), LayeredPath(vertices=p2)))
-    return g, upc
+    return host([[[0, 0, 0], [1, 1, 1]]], edges, 2)
 
 
 def test_shortcut_breaks_uniqueness():
-    g, upc = shortcut_counterexample()
-    assert not verify_upc(g, upc)
+    dup = shortcut_counterexample()
+    assert not verify_upc(dup.graph, dup.upcs[0])
+    assert not verify_dup(dup).checks["unique_paths"]
+    assert path_counts(dup).tolist() == [[[1, 1], [0, 1]]]
 
 
 # -- whole-graph verification -------------------------------------------------
@@ -205,10 +228,84 @@ def test_foreign_edge_breaks_partition():
         if e not in covered:
             extra = e
             break
-    mutated = LayeredGraph(g.num_layers, g.layer_size, g.edges | {extra})
-    bad = type(dup)(graph=mutated, upcs=dup.upcs, params=dup.params, avg_free=dup.avg_free)
-    report = verify_dup(bad)
+    report = verify_dup(with_edges(dup, g.edges | {extra}))
     assert not report.checks["edge_partition"]
+
+
+# -- differential: path counting against the reference DFS ---------------------
+
+# every criterion-2 shape whose layers hold at most 216 vertices
+SMALL_DUPS = [(ell, d, k) for k in range(1, 4) for d in range(1, 8) for ell in range(1, 73)
+              if ((k + 2) * ell) ** d <= 216]
+# those with two or more paths per collection, where most mutants can bite
+MULTI_PATH = [(ell, d, k) for ell, d, k in SMALL_DUPS if ell >= 2 and d >= 2]
+# the two searches count work differently, so neither may hit its cap
+NO_CAP = Budget(max_paths=1 << 40)
+MUTANTS = ("shortcut", "detour", "moved", "swapped", "skip", "shared")
+
+
+def mutate(dup, kind, rng):
+    """One corruption of a built graph, at places drawn from rng."""
+    paths = dup.paths.copy()
+    q, p, layers = paths.shape
+    i, j, m = rng.integers(q), rng.integers(p), rng.integers(layers - 1)
+    h = (j + 1 + rng.integers(p - 1)) % p if p > 1 else j       # another path, if any
+    edges = set(dup.graph.edges)
+    if kind == "shortcut":      # path j's layer-m vertex to path h's next one
+        target = paths[i, h, m + 1] if p > 1 else rng.integers(dup.layer_size)
+        edges.add(((m + 1, int(paths[i, j, m])), (m + 2, int(target))))
+        return with_edges(dup, edges)
+    if kind == "detour":        # a second way round path j's layer-(m+2) vertex
+        u, w = (int(x) for x in rng.integers(dup.layer_size, size=2))
+        if layers < 3:          # no room: an edge into path j's final vertex instead
+            edges.add(((1, u), (2, int(paths[i, j, 1]))))
+        else:
+            m = min(m, layers - 3)
+            edges |= {((m + 1, int(paths[i, j, m])), (m + 2, w)),
+                      ((m + 2, w), (m + 3, int(paths[i, j, m + 2])))}
+        return with_edges(dup, edges)
+    if kind == "moved":         # the vertex takes its path edges along, or leaves them
+        paths[i, j, rng.integers(layers)] = rng.integers(dup.layer_size)
+        return replace(dup, paths=paths, edges=None if rng.integers(2) else dup.edges)
+    if kind == "swapped":       # two paths trade places, in one collection or two
+        i2, h = (i, h) if rng.integers(2) else (rng.integers(q), j)
+        paths[[i, i2], [j, h]] = paths[[i2, i], [h, j]]
+        return replace(dup, paths=paths)
+    if kind == "skip":          # two layers apart; a same-layer edge when there are two
+        a = rng.integers(layers - 2) if layers > 2 else 0
+        b = a + 2 if layers > 2 else a
+        u, v = rng.choice(dup.layer_size, 2, replace=False)
+        return with_edges(dup, edges | {((a + 1, int(u)), (b + 1, int(v)))})
+    width = rng.integers(1, 3)          # "shared": paths j and h meet, or share an edge
+    paths[i, h, m:m + width] = paths[i, j, m:m + width]
+    return replace(dup, paths=paths, edges=None)
+
+
+def test_verify_dup_matches_dfs_oracle_on_built_graphs():
+    for ell, d, k in SMALL_DUPS:
+        dup = build_dup(ell, d, k)
+        assert verify_dup(dup, NO_CAP).checks == dup_oracle.verify_dup(dup, NO_CAP).checks
+
+
+def test_verify_dup_matches_dfs_oracle_on_mutants():
+    rejected = []
+
+    @given(case=st.one_of(st.sampled_from(SMALL_DUPS), st.sampled_from(MULTI_PATH)),
+           kind=st.sampled_from(MUTANTS), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300, database=None)
+    def compare(case, kind, seed):
+        mutant = mutate(build_dup(*case), kind, np.random.default_rng(seed))
+        want = dup_oracle.verify_dup(mutant, NO_CAP).checks
+        assert verify_dup(mutant, NO_CAP).checks == want, kind
+        rejected.append(not all(want.values()))
+
+    compare()
+    assert sum(rejected) >= 20, f"only {sum(rejected)} of {len(rejected)} mutants fail"
+
+
+def test_verify_dup_budget_raises():
+    with pytest.raises(BudgetExceededError):
+        verify_dup(build_dup(2, 2, 1), Budget(max_paths=4))
 
 
 # -- dupg serialization -------------------------------------------------------
@@ -244,6 +341,9 @@ def test_dupg_roundtrip(ell, d, k, padding):
     lambda t: "\n".join(t.splitlines()[:-1]) + "\n",          # drop a line
     lambda t: t + "upc 1 1 0 0\n",                            # trailing garbage
     lambda t: t.replace("upc 1 1", "upc 2 1", 1),             # order violation
+    lambda t: t.replace("upc 1 1", "upc 1 x", 1),             # non-integer path number
+    lambda t: t.replace("upc 1 1 1 2", "upc 1 1 1 z", 1),     # non-integer vertex index
+    lambda t: t.replace("pad 0", "pad q", 1),                 # non-integer pad
 ])
 def test_dupg_malformed(mangle):
     _, text = roundtrip(build_dup(2, 1, 1))

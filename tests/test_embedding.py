@@ -1,12 +1,14 @@
 import io
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misforge import (
     DimensionMismatchError,
+    FormatError,
     GraphFamily,
     build_dup,
     embed,
@@ -16,7 +18,7 @@ from misforge import (
     verify_inducedness,
     write_embedded,
 )
-from misforge.dupgraph import DupGraph, LayeredGraph, LayeredPath, Upc, make_edge
+from misforge.dupgraph import DupGraph, LayeredGraph, make_edge
 from misforge.embedding import EmbeddedGraph
 
 
@@ -143,19 +145,18 @@ def test_inducedness_holds_on_dup():
 def test_shortcut_host_breaks_inducedness():
     """Embedding into a host whose 'collection' is not unique-path lets a
     foreign block edge leak into the induced subgraph."""
-    p1 = LayeredPath(vertices=((1, 0), (2, 0), (3, 0)))
-    p2 = LayeredPath(vertices=((1, 1), (2, 1), (3, 1)))
+    paths = np.array([[[0, 0, 0], [1, 1, 1]]])
     edges = {
         make_edge((1, 0), (2, 0)), make_edge((2, 0), (3, 0)),
         make_edge((1, 1), (2, 1)), make_edge((2, 1), (3, 1)),
         make_edge((2, 0), (3, 1)),  # shortcut between the two paths
     }
     g = LayeredGraph(num_layers=3, layer_size=2, edges=frozenset(edges))
-    from misforge.dupgraph import AvgFreeSet, DupParams
+    from misforge.dupgraph import DupParams
 
     params = DupParams(ell=1, d=1, k=2, p=2, q=1, padded=(0, 0, 0))
-    host = DupGraph(graph=g, upcs=(Upc(index=1, paths=(p1, p2)),), params=params,
-                    avg_free=None)
+    host = DupGraph(paths=paths, layer_size=2, params=params, avg_free=None,
+                    edges=g.edge_array())
     w = 1
     inner_a = LayeredGraph(3, w, frozenset({((1, 0), (2, 0))}))
     inner_b = LayeredGraph(3, w, frozenset({((2, 0), (3, 0))}))
@@ -201,3 +202,19 @@ def test_embedded_roundtrip():
     buf2 = io.StringIO()
     write_embedded(emb2, dup2, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+def test_embedded_rejects_non_integer_fields():
+    import random
+
+    dup = build_dup(2, 2, 1)
+    buf = io.StringIO()
+    write_embedded(embed(random_family(dup, 2, random.Random(7)), dup), dup, buf)
+    lines = buf.getvalue().splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith("emb "))
+    for field in range(1, 5):
+        parts = lines[at].split()
+        parts[field] = "x"
+        mangled = lines[:at] + [" ".join(parts)] + lines[at + 1:]
+        with pytest.raises(FormatError):
+            read_embedded(io.StringIO("\n".join(mangled) + "\n"))
