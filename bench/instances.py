@@ -18,7 +18,10 @@ each checkout in turn, the script runs there
   mark: a stage that raises it is the one that needed the memory).  For
   ``instance_pipeline`` a case is one of its two toy instances and the
   stages are the hardness stages; for ``exact_checks`` a case is one of
-  its three average-free grids and the stages are build and verify.
+  its three average-free grids and the stages are build and verify;
+* for ``instance_pipeline``, the ``cli`` case: ``misforge gen-instance``
+  on formula r=1, n=4096, then ``misforge check-instance`` on its file,
+  each in its own process, recording each one's wall time and peak RSS.
 
 The file gets the host, both checkouts' commits, every run's numbers
 and, per metric, the median over seeds before and after.
@@ -33,6 +36,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 # Shared head of every probe: the case key and a stage timer.  The probe
@@ -91,6 +96,8 @@ WORKLOADS = {
         "probe": PIPELINE_PROBE,
         # the workload's two toy instances: (n0, levels)
         "cases": {"r1": (8, ((3, 2),)), "r2": (4, ((2, 1), (2, 1)))},
+        # gen-instance arguments of the cli case (the seed is the run's)
+        "cli": ["--r", "1", "--n0", "4", "--n", "4096"],
     },
     "exact_checks": {
         "keep": ("avgfree.", "dupgraph.", "embedding.", "oracle.", "runtime.gc_s"),
@@ -112,6 +119,27 @@ def commit(root: Path) -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def cli_stages(root: Path, seed: int, gen_args: list[str], env: dict) -> list[dict]:
+    """gen-instance, then check-instance on its output, each in its own
+    process; a child's peak RSS comes from ``os.wait4``."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "cli.misr")
+        for stage, args in (("gen-instance", [*gen_args, "--seed", str(seed), "--out", path]),
+                            ("check-instance", ["--in", path])):
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "misforge.cli", stage, *args],
+                                    cwd=root, env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                sys.exit(f"{root}: {stage} exited {proc.returncode}")
+            rows.append({"case": "cli", "stage": stage, "wall_s": wall,
+                         "peak_rss_mb": usage.ru_maxrss / 1024})
+    return rows
+
+
 def measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
     spec = WORKLOADS[workload]
     run = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -122,6 +150,8 @@ def measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
     probe = f"CASES = {spec['cases']!r}\n" + PROBE_HEAD + spec["probe"]
     stages = [row for key in spec["cases"]
               for row in last_json([sys.executable, "-c", probe, str(seed), key], root, env)]
+    if "cli" in spec:
+        stages += cli_stages(root, seed, spec["cli"], env)
     return {
         "correct": traced["correct"] and plain["correct"],
         "per_layer_s": {name: m["value"] for name, m in traced["metrics"].items()

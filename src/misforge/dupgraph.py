@@ -140,7 +140,12 @@ class LayeredGraph:
         return (i // self.layer_size + 1, i % self.layer_size)
 
     def flat_edges(self) -> list[tuple[int, int]]:
-        return sorted((self.flat_id(u), self.flat_id(v)) for u, v in self.edges)
+        """Every edge as a (u, v) flat-id pair, u < v, sorted."""
+        edges = self.edges
+        if isinstance(edges, EdgeView):
+            keys = np.sort(np.concatenate([edge_keys(p, edges.n) for p in edges.parts]))
+            return list(zip(*(ids.tolist() for ids in np.divmod(keys, edges.n))))
+        return sorted((self.flat_id(u), self.flat_id(v)) for u, v in edges)
 
     def edge_array(self) -> np.ndarray:
         """The edges as a sorted (m, 2) int64 array of flat ids, smaller id first."""

@@ -38,7 +38,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from itertools import chain
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -412,9 +413,8 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
     def walk(node: Instance, prefix: str) -> None:
         g, parts = node.graph, node.player_edges
         n, size = g.n_vertices, g.layer_size
-        u, v = np.concatenate(parts).T
-        layering = bool(np.all((0 <= u) & (u < v) & (v < n) & (u // size != v // size))
-                        and all(_ascending(edge_keys(p, n)) for p in parts))
+        layering = all(np.all((0 <= u) & (u < v) & (v < n) & (u // size != v // size))
+                       and _ascending(edge_keys(p, n)) for p in parts for u, v in [p.T])
         report.add(prefix + "layering", layering,
                    "malformed layered graph, or a player's edges are not sorted")
         if not layering:
@@ -451,6 +451,7 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
         report.add(prefix + "special_induced",
                    np.array_equal(every[inside[u] & inside[v]], union_special),
                    "induced subgraph on special blocks has foreign or missing edges")
+        del every, u, v     # the join test below is the peak on large instances
 
         w = node.inner_layer_size
         rebuilt = _embedded_players(node.dup, w, node.subinstances)
@@ -489,8 +490,13 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
 # Flat id of (layer, idx) is (layer-1) * layer_size + idx; the left copy
 # occupies the first half of the layer range.  The metadata carries the
 # level dimensions and the full choice tree, so the reader rebuilds the
-# instance deterministically and validates the edge sections against it.
+# instance deterministically.  Sections are written in blocks of
+# MISR_BLOCK_ROWS rows; the reader compares the same blocks, regenerated
+# from the rebuilt arrays, in place with the text, so a file as written is
+# never parsed.  Any other text is parsed section by section.
 # ---------------------------------------------------------------------------
+
+MISR_BLOCK_ROWS = 1 << 16
 
 
 def _levels_meta(inst: Instance) -> list[dict]:
@@ -510,17 +516,20 @@ def _tree_of(inst: Instance) -> dict:
     return {"t": inst.t, "subs": [[_tree_of(sub) for sub in row] for row in inst.subinstances]}
 
 
-def _format_edges(edges: np.ndarray) -> str:
-    """misr lines "u v\\n" of an (m, 2) array of non-negative ids: one
-    str.join per run of equal u, over " v\\n" strings made once per id."""
+def _misr_blocks(edges: np.ndarray) -> Iterator[str]:
+    """misr lines "u v\\n" of an (m, 2) array of non-negative ids, at most
+    MISR_BLOCK_ROWS rows per string: one str.join per run of equal u, over
+    " v\\n" strings made once per section."""
     if not len(edges):
-        return ""
+        return
     tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
-    vs = tails[edges[:, 1]].tolist()
-    u = edges[:, 0]
-    cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
-    heads = map(str, u[cuts[:-1]].tolist())     # u once per run, then " v\n" each
-    return "".join(h + h.join(vs[a:b]) for h, a, b in zip(heads, cuts, cuts[1:]))
+    for lo in range(0, len(edges), MISR_BLOCK_ROWS):
+        block = edges[lo:lo + MISR_BLOCK_ROWS]
+        vs = tails[block[:, 1]].tolist()
+        u = block[:, 0]
+        cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
+        heads = map(str, u[cuts[:-1]].tolist())     # u once per run, then " v\n" each
+        yield "".join(h + h.join(vs[a:b]) for h, a, b in zip(heads, cuts, cuts[1:]))
 
 
 def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
@@ -536,7 +545,8 @@ def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
     fh.write("misr 1\n")
     fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
     for a, edges in enumerate(inst.player_edges, start=1):
-        fh.writelines((f"player {a}\n", _format_edges(edges)))
+        fh.write(f"player {a}\n")
+        fh.writelines(_misr_blocks(edges))
     fh.write("end\n")
 
 
@@ -564,7 +574,7 @@ def _parse_section(text: str) -> np.ndarray:
             ids = None
     if ids is not None and len(ids) % 2 == 0 and ids.min(initial=0) >= 0:
         edges = ids.reshape(-1, 2)
-        if _format_edges(edges) == text:
+        if "".join(_misr_blocks(edges)) == text:
             return edges
     lines = [ln.split() for ln in text.split("\n") if ln.strip()]
     for parts in lines:
@@ -576,11 +586,30 @@ def _parse_section(text: str) -> np.ndarray:
         raise FormatError(f"vertex ids must be 64-bit integers: {exc}") from exc
 
 
+# the first two non-blank lines and where the body after them starts, as
+# text.lstrip().partition("\n") twice would split them, but copying nothing
+_FRAME = re.compile(r"\s*(.*)\n?\s*(.*)\n?")
+
+
+def _written_sections(text: str, pos: int, end: int, players: tuple[np.ndarray, ...]) -> bool:
+    """True iff text[pos:end] is what ``write_instance`` writes for these
+    player arrays, compared a header or a block at a time, in place."""
+    for a, edges in enumerate(players, start=1):
+        for chunk in chain((f"player {a}\n",), _misr_blocks(edges)):
+            if not text.startswith(chunk, pos, end):
+                return False
+            pos += len(chunk)
+    return pos == end
+
+
 def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
-    head, _, rest = fh.read().lstrip().partition("\n")
-    meta_line, _, rest = rest.lstrip().partition("\n")
-    body, _, last = rest.rstrip().rpartition("\n")
-    if head.strip() != "misr 1" or last.strip() != "end":
+    text = fh.read()
+    frame = _FRAME.match(text)
+    head, meta_line, body, end = frame[1], frame[2], frame.end(), len(text)
+    while end > body and text[end - 1].isspace():     # the last line is [last, end)
+        end -= 1
+    last = max(text.rfind("\n", body, end), body)
+    if head.strip() != "misr 1" or text[last:end].strip() != "end":
         raise FormatError("not a misr v1 file")
     try:
         meta = json.loads(meta_line)
@@ -605,9 +634,11 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
             raise FormatError(f"level {lvl['j']} must use k = 2^j - 1")
         plans.append(LevelPlan(j=lvl["j"], dup=dup, w=lvl["w"]))
     inst = build_instance(plans, n0, meta["tree"])
-    # split before every line whose first token is "player"; each chunk then
-    # lacks the newline that ended it
-    preamble, *chunks = re.split(r"\n(?=[^\S\n]*player\b)", "\n" + body)
+    if _written_sections(text, body, last + 1, inst.player_edges):
+        return ReadInstance(instance=inst, meta=meta, stored_players=inst.player_edges)
+    # any other text: split before every line whose first token is "player";
+    # each chunk then lacks the newline that ended it
+    preamble, *chunks = re.split(r"\n(?=[^\S\n]*player\b)", "\n" + text[body:last])
     if preamble.strip():
         raise FormatError(f"unexpected line {preamble.strip().splitlines()[0]!r}")
     sections = []

@@ -16,10 +16,7 @@ the bits from a set alone; eval_predicate reads the constructed truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
-
-import networkx as nx
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -80,23 +77,46 @@ def is_mis(graph, candidate: Iterable) -> bool:
     return dominated == vset
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def enumerate_all_mis(graph, max_vertices: int = 24) -> list[frozenset]:
-    """Every maximal independent set, as maximal cliques of the complement."""
+    """Every maximal independent set, by Bron-Kerbosch with pivoting over
+    int bitmasks: a vertex's mask is its closed neighbourhood, the set
+    that choosing it removes from the candidates."""
     vertices, edges = vertex_edge_view(graph)
     if len(vertices) > max_vertices:
         raise BudgetExceededError(
             f"{len(vertices)} vertices exceed the enumeration cap {max_vertices}"
         )
-    if not vertices:
-        return [frozenset()]
-    comp = nx.Graph()
-    comp.add_nodes_from(vertices)
-    present = {frozenset(e) for e in edges}
-    comp.add_edges_from(
-        (u, v) for u, v in combinations(vertices, 2) if frozenset((u, v)) not in present
-    )
-    sets = [frozenset(c) for c in nx.find_cliques(comp)]
-    return sorted(sets, key=lambda s: sorted(s))
+    names = list(dict.fromkeys(vertices))
+    index = {v: i for i, v in enumerate(names)}
+    closed = [1 << i for i in range(len(names))]
+    for u, v in edges:
+        if u in index and v in index:
+            closed[index[u]] |= 1 << index[v]
+            closed[index[v]] |= 1 << index[u]
+    found: list[int] = []
+
+    def expand(chosen: int, cand: int, excl: int) -> None:
+        if not cand | excl:
+            found.append(chosen)
+        elif cand:
+            # a maximal set extending `chosen` holds a vertex of the pivot's
+            # closed neighbourhood, so branch on those candidates only
+            pivot = min(_bits(cand | excl), key=lambda u: (cand & closed[u]).bit_count())
+            for v in _bits(cand & closed[pivot]):
+                expand(chosen | 1 << v, cand & ~closed[v], excl & ~closed[v])
+                cand ^= 1 << v
+                excl |= 1 << v
+
+    expand(0, (1 << len(names)) - 1, 0)
+    return sorted((frozenset(names[i] for i in _bits(m)) for m in found), key=sorted)
 
 
 def greedy_mis(graph, order: Iterable) -> frozenset:

@@ -122,7 +122,7 @@ class EdgeStream:
         is a self loop or a duplicate.  The scan runs once per stream."""
         if self._max_id is None:
             edges = _stack(self.sections_list)
-            lo, hi = edges.min(axis=1), edges.max(axis=1)
+            lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
             if len(edges) and lo.min() < 0:
                 raise InvalidInputError(f"vertex id {int(lo.min())} is negative")
             loops = lo[lo == hi]

@@ -10,17 +10,26 @@ set, every special subgraph, the misr text and every check verdict.
 
 Both build from the same choice tree (``misforge.sample_tree``), so the
 oracle only replaces the edge representation, never the sampling.
+
+The module also keeps the misr reader that parses every section
+(``read_instance``); ``misforge.hardness.read_instance`` must raise the
+same errors and otherwise store the same arrays with the same verdict.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import warnings
 from dataclasses import dataclass, replace
 from typing import IO, Mapping
 
 import numpy as np
 
-from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, make_edge
+from misforge import hardness
+from misforge.budgets import Budget, default_budget
+from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, build_dup, make_edge, pad_dup
+from misforge.errors import FormatError
 from misforge.oracle import Subgraph
 from misforge.report import VerificationReport
 
@@ -313,3 +322,102 @@ def replace_edges(inst, players=None, edges=None):
         parts[0] |= edges - set().union(*parts)
     size = inst.graph.layer_size
     return replace(inst, player_edges=tuple(flat_array(p, size) for p in parts))
+
+
+# -- the parsing misr reader ----------------------------------------------------
+#
+# ``misforge.hardness.read_instance`` compares the text with blocks regenerated
+# from the rebuilt instance and parses only text that differs.  This is the
+# reader it replaced, unchanged but for module prefixes: it splits and parses
+# every section.  Both must raise the same errors, and otherwise agree on the
+# stored arrays and ``matches``.
+
+
+def format_edges(edges: np.ndarray) -> str:
+    """misr lines "u v\\n" of an (m, 2) array of non-negative ids: one
+    str.join per run of equal u, over " v\\n" strings made once per id."""
+    if not len(edges):
+        return ""
+    tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
+    vs = tails[edges[:, 1]].tolist()
+    u = edges[:, 0]
+    cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
+    heads = map(str, u[cuts[:-1]].tolist())     # u once per run, then " v\n" each
+    return "".join(h + h.join(vs[a:b]) for h, a, b in zip(heads, cuts, cuts[1:]))
+
+
+def parse_section(text: str) -> np.ndarray:
+    """A section's "u v" lines as an (m, 2) int64 array: in one call if the
+    text is in the form ``write_instance`` produces, else line by line."""
+    with warnings.catch_warnings():
+        # text fromstring cannot read to its end warns (or, later, raises)
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            ids = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError:
+            ids = None
+    if ids is not None and len(ids) % 2 == 0 and ids.min(initial=0) >= 0:
+        edges = ids.reshape(-1, 2)
+        if format_edges(edges) == text:
+            return edges
+    lines = [ln.split() for ln in text.split("\n") if ln.strip()]
+    for parts in lines:
+        if len(parts) != 2:
+            raise FormatError(f"unexpected line {' '.join(parts)!r}")
+    try:
+        return np.array(lines, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"vertex ids must be 64-bit integers: {exc}") from exc
+
+
+def read_instance(fh: IO[str], budget: Budget | None = None) -> hardness.ReadInstance:
+    """The misr reader that parses every section, then re-formats it to
+    check that the text is canonical; it builds array instances."""
+    head, _, rest = fh.read().lstrip().partition("\n")
+    meta_line, _, rest = rest.lstrip().partition("\n")
+    body, _, last = rest.rstrip().rpartition("\n")
+    if head.strip() != "misr 1" or last.strip() != "end":
+        raise FormatError("not a misr v1 file")
+    try:
+        meta = json.loads(meta_line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad metadata: {exc}") from exc
+    for key in ("r", "n0", "levels", "tree"):
+        if key not in meta:
+            raise FormatError(f"metadata missing {key!r}")
+    r, n0 = meta["r"], meta["n0"]
+    if not isinstance(r, int) or r < 0:
+        raise FormatError(f"bad r: {r!r}")
+    plans = []
+    budget = budget or default_budget()
+    if len(meta["levels"]) != r:
+        raise FormatError(f"expected {r} level entries, found {len(meta['levels'])}")
+    for lvl in meta["levels"]:
+        try:
+            dup = pad_dup(build_dup(lvl["ell"], lvl["d"], lvl["k"], budget), lvl["b"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad level entry {lvl!r}") from exc
+        if lvl["k"] != 2 ** lvl["j"] - 1:
+            raise FormatError(f"level {lvl['j']} must use k = 2^j - 1")
+        plans.append(hardness.LevelPlan(j=lvl["j"], dup=dup, w=lvl["w"]))
+    inst = hardness.build_instance(plans, n0, meta["tree"])
+    # split before every line whose first token is "player"; each chunk then
+    # lacks the newline that ended it
+    preamble, *chunks = re.split(r"\n(?=[^\S\n]*player\b)", "\n" + body)
+    if preamble.strip():
+        raise FormatError(f"unexpected line {preamble.strip().splitlines()[0]!r}")
+    sections = []
+    for k, chunk in enumerate(chunks, start=1):
+        header, _, edges = chunk.partition("\n")
+        parts = header.split()
+        try:
+            if parts[0] != "player" or len(parts) != 2 or int(parts[1]) != k:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"unexpected section header {header!r}") from None
+        sections.append(parse_section(edges + "\n" if edges else ""))
+    if len(sections) != len(inst.player_edges):
+        raise FormatError(
+            f"expected {len(inst.player_edges)} player sections, found {len(sections)}"
+        )
+    return hardness.ReadInstance(instance=inst, meta=meta, stored_players=tuple(sections))

@@ -4,7 +4,9 @@
 array; ``instance_oracle`` is the tuple-set assembly it replaced.  Built
 from the same choice tree, both must agree on every player's edge set,
 every special subgraph, the misr text byte for byte and every
-structural check's verdict.
+structural check's verdict.  The misr reader, which compares the text
+with blocks regenerated from the rebuilt instance, must agree with the
+oracle's parsing reader on every text, intact or mangled.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from misforge import (
     sample_tree,
     write_instance,
 )
+from misforge import hardness
 from misforge.hardness import EdgeView
 
 import instance_oracle as oracle
@@ -142,6 +145,120 @@ def test_misr_roundtrip_keeps_arrays(shape):
     assert loaded.matches
     for stored, built in zip(loaded.stored_players, inst.player_edges):
         assert stored.dtype == np.int64 and np.array_equal(stored, built)
+
+
+MUTANTS = ["none", "leading_blank", "blank_line", "trailing_space", "join_id", "drop_line",
+           "duplicate_line", "swap_bodies", "swap_sections", "no_sections", "truncate"]
+
+
+def mangle(text, how, pick):
+    """One kind of damage to a misr text, at a line chosen by pick: one of
+    the first or last three lines half the time, else any line."""
+    lines = text.split("\n")[:-1]                 # the text ends with "\n"
+    near = [0, 1, 2, -3, -2, -1][pick // 2 % 6] % len(lines)
+    i = near if pick % 2 else pick % len(lines)
+    heads = [k for k, ln in enumerate(lines) if ln.startswith("player ")]
+    if how == "leading_blank":
+        return "\n" * (1 + pick % 3) + text
+    if how == "blank_line":
+        lines.insert(i, " " * (pick % 3))
+    elif how == "trailing_space":
+        lines[i] += " " * (1 + pick % 2)
+    elif how == "join_id":
+        rows = range(heads[-1] + 1, len(lines) - 1)
+        if rows:
+            k = rows[pick % len(rows)]
+            u, v = lines[k].split()
+            lines[k] = f"{u} {int(v) + 1 + pick % 5}"
+    elif how == "drop_line":
+        del lines[i]
+    elif how == "duplicate_line":
+        lines.insert(i, lines[i])
+    elif how in ("swap_bodies", "swap_sections"):
+        bounds = [*heads, len(lines) - 1]
+        chunks = [lines[a:b] for a, b in zip(bounds, bounds[1:])]
+        a = pick % len(chunks)
+        b = (a + 1 + pick // 7 % max(len(chunks) - 1, 1)) % len(chunks)
+        if how == "swap_sections":
+            chunks[a], chunks[b] = chunks[b], chunks[a]
+        else:
+            chunks[a][1:], chunks[b][1:] = chunks[b][1:], chunks[a][1:]
+        lines = lines[:heads[0]] + [ln for chunk in chunks for ln in chunk] + lines[-1:]
+    elif how == "no_sections":
+        lines = lines[:heads[0]] + lines[-1:]
+    elif how == "truncate":
+        return text[:pick % len(text)]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read, text):
+    """What a reader makes of text: the exception type and message, or
+    the meta, the stored arrays and the verdict."""
+    try:
+        loaded = read(io.StringIO(text))
+    except Exception as exc:       # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return (loaded.meta, [(a.dtype, a.shape, a.tolist()) for a in loaded.stored_players],
+            loaded.matches)
+
+
+@given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10_000),
+       how=st.sampled_from(MUTANTS), pick=st.integers(0, 10**6))
+@settings(deadline=None, max_examples=150)
+def test_reader_agrees_with_parsing_oracle(shape, seed, how, pick):
+    inst, _ = build_both(shape, seed)
+    text = mangle(misr_text(inst, seed), how, pick)
+    assert outcome(read_instance, text) == outcome(oracle.read_instance, text)
+
+
+@pytest.mark.parametrize("how", MUTANTS)
+def test_reader_agrees_with_parsing_oracle_near_the_frame(how):
+    """Each mutant at each of the first and the last three lines."""
+    inst, _ = build_both(SHAPES[2], 3)
+    text = misr_text(inst, 3)
+    for pick in range(1, 12, 2):
+        mangled = mangle(text, how, pick)
+        assert outcome(read_instance, mangled) == outcome(oracle.read_instance, mangled)
+
+
+def test_written_text_is_never_parsed(monkeypatch):
+    def refuse(text):
+        raise AssertionError("a section was parsed")
+
+    monkeypatch.setattr(hardness, "_parse_section", refuse)
+    for shape in SHAPES:
+        inst, _ = build_both(shape, 1)
+        loaded = read_instance(io.StringIO(misr_text(inst, 1)))
+        assert loaded.matches and loaded.stored_players is loaded.instance.player_edges
+    with pytest.raises(AssertionError, match="parsed"):
+        read_instance(io.StringIO(misr_text(inst, 1).replace("player 1\n", "player 1 \n")))
+
+
+def test_sections_are_written_in_blocks(monkeypatch):
+    """Blocks of a few rows give the same text as one block per section."""
+    inst, _ = build_both((4, ((2, 1),)), 2)
+    whole = misr_text(inst, 2)
+    monkeypatch.setattr(hardness, "MISR_BLOCK_ROWS", 3)
+    assert len(list(hardness._misr_blocks(inst.player_edges[-1]))) > 1
+    assert misr_text(inst, 2) == whole
+    loaded = read_instance(io.StringIO(whole))
+    assert loaded.stored_players is loaded.instance.player_edges
+
+
+def test_layering_requires_sorted_players():
+    inst, _ = build_both((4, ((2, 1),)), 3)
+    parts = list(inst.player_edges)
+    parts[0] = parts[0][::-1].copy()
+    bad = dataclasses.replace(inst, player_edges=tuple(parts))
+    assert not check_properties(bad, recurse=False).checks["layering"]
+
+
+def test_flat_edges_from_the_flat_arrays():
+    for shape in SHAPES:
+        inst, _ = build_both(shape, 4)
+        for node, _ in nodes(inst, inst):
+            g = node.graph
+            assert g.flat_edges() == sorted((g.flat_id(u), g.flat_id(v)) for u, v in g.edges)
 
 
 # -- the stored form ----------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from misforge.hardness import _base_instance
 from misforge.oracle import Subgraph
 
 from conftest import brute_all_mis, brute_is_mis
+import mis_oracle
 
 TRIANGLE = ({"a", "b", "c"}, {("a", "b"), ("b", "c"), ("a", "c")})
 PATH3 = ({"a", "b", "c"}, {("a", "b"), ("b", "c")})
@@ -87,6 +90,35 @@ def test_enumerate_cap():
     big = (set(range(30)), set())
     with pytest.raises(BudgetExceededError):
         enumerate_all_mis(big, max_vertices=24)
+
+
+@given(n=st.integers(0, 14), density=st.floats(0, 1), data=st.data())
+@settings(deadline=None, max_examples=120)
+def test_enumerate_matches_networkx_oracle(n, density, data):
+    """The bitmask search against the networkx enumeration it replaced:
+    the same sets in the same order, on graphs of up to 14 vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, x in zip(pairs, keep) if x < density}
+    view = (set(range(n)), edges)
+    assert enumerate_all_mis(view) == mis_oracle.enumerate_all_mis(view)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_enumerate_matches_networkx_oracle_on_instances(seed):
+    """Criterion 5's shapes, every one at most 24 vertices."""
+    n0, levels = [(4, None), (4, ((1, 1),)), (2, ((1, 1),)), (2, ((2, 1),))][seed % 4]
+    if levels is None:
+        inst = _base_instance(n0, format(seed * 37 % 4, "02b"))
+    else:
+        inst = sample_instance(len(levels), ToyParams(n_0=n0, levels=levels), seed)
+    want = mis_oracle.enumerate_all_mis(inst.graph)
+    assert enumerate_all_mis(inst.graph) == want and len(want) >= 1
+
+
+def test_import_leaves_networkx_out():
+    code = "import sys, misforge; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 # -- greedy -------------------------------------------------------------------
