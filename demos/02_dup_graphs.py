@@ -51,7 +51,7 @@ if __name__ == "__main__":
     # Uniqueness in action: a start reaches its own path's finish by exactly
     # one layered path and every other finish of its collection by none.
     row = path_counts(dup)[0, 0]
-    print(f"  from start {dup.upcs[0].paths[0].start}: layered paths to each finish "
+    print(f"  from start {(1, int(dup.paths[0, 0, 0]))}: layered paths to each finish "
           f"of collection 1 (capped at 2): {row.tolist()}")
 
     sizing_table()

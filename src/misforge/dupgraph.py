@@ -25,10 +25,10 @@ Storage: a DupGraph stores its paths once, as a (q, p, k+1) int64 array
 of layer-local indices (``paths[i-1, j-1, m-1]`` is the layer-m vertex
 of collection i's path j), and its edges as one sorted (m, 2) int64
 array of flat ids (layer - 1) * layer_size + idx, smaller id first,
-derived from the paths.  ``graph.edges`` (an ``EdgeView``) and ``upcs``
-are read-only views of these arrays.  verify_dup checks uniqueness with
-one capped path-count pass over the whole graph (see path_counts), and
-path_lut is the one table that routes a graph along a collection path.
+derived from the paths.  ``graph.edges`` is a read-only ``EdgeView`` of
+the edge array.  verify_dup checks uniqueness with one capped path-count
+pass over the whole graph (see path_counts), and path_lut is the one
+table that routes a graph along a collection path.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .avgfree import AvgFreeSet, Vector, build_avg_free_set
+from .avgfree import AvgFreeSet, build_avg_free_set
 from .budgets import Budget, default_budget
 from .errors import BudgetExceededError, FormatError, InvalidInputError, TooSmallError
 from .numutil import ceil_div, integer_nth_root
@@ -129,10 +129,6 @@ class LayeredGraph:
                 return False
         return True
 
-    def is_strict(self) -> bool:
-        """Every edge joins consecutive layers."""
-        return all(abs(u[0] - v[0]) == 1 for u, v in self.edges)
-
     def flat_id(self, v: Vertex) -> int:
         return (v[0] - 1) * self.layer_size + v[1]
 
@@ -141,43 +137,16 @@ class LayeredGraph:
 
     def flat_edges(self) -> list[tuple[int, int]]:
         """Every edge as a (u, v) flat-id pair, u < v, sorted."""
-        edges = self.edges
-        if isinstance(edges, EdgeView):
-            keys = np.sort(np.concatenate([edge_keys(p, edges.n) for p in edges.parts]))
-            return list(zip(*(ids.tolist() for ids in np.divmod(keys, edges.n))))
-        return sorted((self.flat_id(u), self.flat_id(v)) for u, v in edges)
+        return list(zip(*(ids.tolist() for ids in self.edge_array().T)))
 
     def edge_array(self) -> np.ndarray:
         """The edges as a sorted (m, 2) int64 array of flat ids, smaller id first."""
-        if isinstance(self.edges, EdgeView) and len(self.edges.parts) == 1:
-            return self.edges.parts[0]
-        edges = np.sort(np.array(self.flat_edges(), dtype=np.int64).reshape(-1, 2), axis=1)
-        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
-
-@dataclass(frozen=True)
-class LayeredPath:
-    vertices: tuple[Vertex, ...]
-
-    @property
-    def start(self) -> Vertex:
-        return self.vertices[0]
-
-    @property
-    def final(self) -> Vertex:
-        return self.vertices[-1]
-
-
-@dataclass(frozen=True)
-class Upc:
-    index: int                      # 1-based position within the graph's collections
-    paths: tuple[LayeredPath, ...]
-
-    def starts(self) -> list[Vertex]:
-        return [p.start for p in self.paths]
-
-    def finals(self) -> list[Vertex]:
-        return [p.final for p in self.paths]
+        edges = self.edges
+        if isinstance(edges, EdgeView):
+            keys = np.sort(np.concatenate([edge_keys(p, edges.n) for p in edges.parts]))
+            return np.column_stack(np.divmod(keys, edges.n))
+        pairs = np.array([(self.flat_id(u), self.flat_id(v)) for u, v in edges], dtype=np.int64)
+        return np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
 
 
 @dataclass(frozen=True)
@@ -239,37 +208,12 @@ class DupGraph:
         layers, size = self.paths.shape[-1], self.layer_size
         return LayeredGraph(layers, size, EdgeView((self.edges,), size, layers * size))
 
-    @cached_property
-    def upcs(self) -> tuple[Upc, ...]:
-        return tuple(
-            Upc(index=i, paths=tuple(LayeredPath(tuple(enumerate(row, start=1)))
-                                     for row in rows))
-            for i, rows in enumerate(self.paths.tolist(), start=1)
-        )
-
 
 @dataclass(frozen=True)
 class DupDimensions:
     d: int
     ell: int
     n_effective: int
-
-
-def encode_vector(v: Vector, side: int) -> int:
-    idx = 0
-    for c in v:
-        if not 1 <= c <= side:
-            raise InvalidInputError(f"coordinate {c} outside 1..{side}")
-        idx = idx * side + (c - 1)
-    return idx
-
-
-def decode_index(idx: int, side: int, d: int) -> Vector:
-    coords = []
-    for _ in range(d):
-        coords.append(idx % side + 1)
-        idx //= side
-    return tuple(reversed(coords))
 
 
 def derive_dup_dimensions(n: int, k: int) -> DupDimensions:

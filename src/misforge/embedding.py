@@ -14,24 +14,25 @@ union of H[i][1..p]; edges routed along every other collection mention
 at least one vertex outside those blocks.  verify_inducedness checks
 that property edge-for-edge, and fails on graphs whose declared
 collections admit shortcuts.
+
+Storage: ``emb.graph.edges`` holds each edge once, as q * p sorted flat-id
+arrays in i-major order, so an edge's member is the index of its part.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
 from .dupgraph import (
     DupGraph,
-    Edge,
     EdgeView,
     LayeredGraph,
     edge_keys,
     edge_pairs,
-    make_edge,
     path_lut,
     read_dup,
     write_dup,
@@ -66,13 +67,29 @@ class GraphFamily:
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    graph: LayeredGraph
-    provenance: Mapping[Edge, tuple[int, int]]           # edge -> (i, j)
+    graph: LayeredGraph          # edges: an EdgeView of q * p parts, i-major
     inner_layer_size: int
 
 
+def _member_rows(family: GraphFamily) -> np.ndarray:
+    """One row (i, j, u, v) per member edge, i-major: i and j 0-based, u and
+    v the edge's inner flat ids (layer - 1) * w + x."""
+    w = family.layer_size
+    return np.array([(i, j, (la - 1) * w + xa, (lb - 1) * w + xb)
+                     for i, row in enumerate(family.members) for j, member in enumerate(row)
+                     for (la, xa), (lb, xb) in member.edges],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def _parts(owner: np.ndarray, rows: np.ndarray, keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """rows grouped by owner 0..count-1, each group in keys order."""
+    cuts = np.cumsum(np.bincount(owner, minlength=count))[:-1]
+    return np.split(rows[np.lexsort((keys, owner))], cuts)
+
+
 def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
-    """Route every family member along its collection path."""
+    """Route every family member along its collection path.  Member (i, j)'s
+    edges are part (i - 1) * p + j - 1 of the result's edge view."""
     if not family.well_formed():
         raise DimensionMismatchError("family members disagree on shape")
     if (family.q, family.p) != (dup.params.q, dup.params.p):
@@ -88,26 +105,42 @@ def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
     w, q, p = family.layer_size, family.q, family.p
     size = dup.graph.layer_size * w
     n = dup.graph.num_layers * size
-    # one row (i, j, inner u, inner v) per member edge, i and j 0-based
-    rows = np.array([(i, j, (la - 1) * w + xa, (lb - 1) * w + xb)
-                     for i in range(q) for j in range(p)
-                     for (la, xa), (lb, xb) in family.members[i][j].edges],
-                    dtype=np.int64).reshape(-1, 4)
+    rows = _member_rows(family)
     luts = path_lut(dup, np.arange(1, q + 1)[:, None], np.arange(1, p + 1), w)
     edges = np.sort(luts[rows[:, :1], rows[:, 1:2], rows[:, 2:]], axis=1)
-    order = np.argsort(edge_keys(edges, n), kind="stable")
-    edges, owners = edges[order], (rows[order, :2] + 1).tolist()
-    clash = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    keys = edge_keys(edges, n)
+    order = np.argsort(keys, kind="stable")
+    clash = np.flatnonzero(np.diff(keys[order]) == 0)
     if len(clash):
-        c = clash[0]
+        a, b = order[clash[0]], order[clash[0] + 1]
         raise InvalidInputError(
-            f"edge collision at {next(edge_pairs(edges[c:c + 1], size))}: collections "
-            f"{tuple(owners[c])} and {tuple(owners[c + 1])} overlap"
+            f"edge collision at {next(edge_pairs(edges[a:a + 1], size))}: collections "
+            f"{tuple((rows[a, :2] + 1).tolist())} and {tuple((rows[b, :2] + 1).tolist())} overlap"
         )
-    provenance = dict(zip(edge_pairs(edges, size), map(tuple, owners)))
+    parts = _parts(rows[:, 0] * p + rows[:, 1], edges, keys, q * p)
     graph = LayeredGraph(num_layers=dup.graph.num_layers, layer_size=size,
-                         edges=EdgeView((edges,), size, n))
-    return EmbeddedGraph(graph=graph, provenance=provenance, inner_layer_size=w)
+                         edges=EdgeView(tuple(parts), size, n))
+    return EmbeddedGraph(graph=graph, inner_layer_size=w)
+
+
+def _induced_keys(emb: EmbeddedGraph, dup: DupGraph,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys (c * n + u) * n + v of the edges induced on the blocks of
+    collection cols[c] (consecutive, 1-based), relabeled as by induced_on_upc,
+    and the relabeling: row j maps path j's inner flat ids; n is its size."""
+    if len(cols) and not 1 <= cols[0] <= cols[-1] <= len(dup.paths):
+        raise InvalidInputError(f"collection index outside 1..{len(dup.paths)}")
+    g, w, p = emb.graph, emb.inner_layer_size, dup.paths.shape[1]
+    inner = np.arange(g.num_layers * w)
+    labels = inner // w * (p * w) + np.arange(p)[:, None] * w + inner % w
+    keys, edges = [np.empty(0, dtype=np.int64)], g.edge_array()
+    for c, lut in enumerate(path_lut(dup, cols[:, None], np.arange(1, p + 1), w)):
+        relabel = np.full(g.n_vertices, -1)
+        relabel[lut] = labels
+        mapped = np.sort(relabel[edges], axis=1)
+        mapped = mapped[mapped[:, 0] >= 0]
+        keys.append((c * labels.size + mapped[:, 0]) * labels.size + mapped[:, 1])
+    return np.sort(np.concatenate(keys)), labels
 
 
 def induced_on_upc(emb: EmbeddedGraph, dup: DupGraph, i: int) -> LayeredGraph:
@@ -117,38 +150,34 @@ def induced_on_upc(emb: EmbeddedGraph, dup: DupGraph, i: int) -> LayeredGraph:
     result is directly comparable with a disjoint union of the family
     members routed along collection i.
     """
-    w, g, p = emb.inner_layer_size, emb.graph, dup.paths.shape[1]
-    inner = np.arange(g.num_layers * w)
-    relabel = np.full(g.n_vertices, -1)
-    relabel[path_lut(dup, i, np.arange(1, p + 1), w)] = (
-        inner // w * (p * w) + np.arange(p)[:, None] * w + inner % w)
-    mapped = relabel[g.edge_array()]
-    kept = np.sort(mapped[(mapped >= 0).all(axis=1)], axis=1)
-    return LayeredGraph(num_layers=g.num_layers, layer_size=p * w,
-                        edges=frozenset(edge_pairs(kept, p * w)))
+    keys, labels = _induced_keys(emb, dup, np.array([i]))
+    size = labels.size // emb.graph.num_layers
+    edges = np.column_stack(np.divmod(keys, labels.size))
+    return LayeredGraph(num_layers=emb.graph.num_layers, layer_size=size,
+                        edges=EdgeView((edges,), size, labels.size))
 
 
-def _expected_union(family: GraphFamily, i: int) -> frozenset[Edge]:
-    w = family.layer_size
-    edges: set[Edge] = set()
-    for j in range(1, family.p + 1):
-        for (la, xa), (lb, xb) in family.member(i, j).edges:
-            shift = (j - 1) * w
-            edges.add(make_edge((la, shift + xa), (lb, shift + xb)))
-    return frozenset(edges)
+def _union_induced(emb: EmbeddedGraph, dup: DupGraph, family: GraphFamily,
+                   cols: np.ndarray) -> bool:
+    """Each collection in cols induces exactly the disjoint union of the
+    members of family routed along it."""
+    got, labels = _induced_keys(emb, dup, cols)
+    rows, n = _member_rows(family), labels.size
+    c = rows[:, 0] + 1 - cols[0]
+    keep = (0 <= c) & (c < len(cols))
+    want = np.sort(labels[rows[keep, 1:2], rows[keep, 2:]], axis=1)
+    return np.array_equal(got, np.sort((c[keep] * n + want[:, 0]) * n + want[:, 1]))
 
 
 def verify_inducedness(
     emb: EmbeddedGraph, dup: DupGraph, family: GraphFamily, i: int
 ) -> bool:
     """Induced subgraph on collection i equals the family's disjoint union."""
-    return induced_on_upc(emb, dup, i).edges == _expected_union(family, i)
+    return _union_induced(emb, dup, family, np.array([i]))
 
 
 def verify_all_inducedness(emb: EmbeddedGraph, dup: DupGraph, family: GraphFamily) -> bool:
-    return all(
-        verify_inducedness(emb, dup, family, i) for i in range(1, dup.params.q + 1)
-    )
+    return _union_induced(emb, dup, family, np.arange(1, dup.params.q + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +194,9 @@ def verify_all_inducedness(emb: EmbeddedGraph, dup: DupGraph, family: GraphFamil
 def write_embedded(emb: EmbeddedGraph, dup: DupGraph, fh: IO[str]) -> None:
     write_dup(dup, fh)
     fh.write(f"embw {emb.inner_layer_size}\n")
-    rows = sorted(
-        (i, j, emb.graph.flat_id(u), emb.graph.flat_id(v))
-        for (u, v), (i, j) in emb.provenance.items()
-    )
-    for i, j, a, b in rows:
-        fh.write(f"emb {i} {j} {a} {b}\n")
+    for k, part in enumerate(emb.graph.edges.parts):
+        i, j = divmod(k, dup.params.p)
+        fh.writelines(f"emb {i + 1} {j + 1} {a} {b}\n" for a, b in part.tolist())
 
 
 def read_embedded(fh: IO[str]) -> tuple[EmbeddedGraph, DupGraph, GraphFamily]:
@@ -185,11 +211,11 @@ def read_embedded(fh: IO[str]) -> tuple[EmbeddedGraph, DupGraph, GraphFamily]:
         raise FormatError(f"bad embw line: {lines[split]!r}") from exc
     if w < 1:
         raise FormatError(f"inner width must be positive, got {w}")
+    q, p = dup.params.q, dup.params.p
     prod_size = dup.graph.layer_size * w
     num_layers = dup.graph.num_layers
-    product = LayeredGraph(num_layers=num_layers, layer_size=prod_size, edges=frozenset())
-    provenance: dict[Edge, tuple[int, int]] = {}
-    inner_edges: dict[tuple[int, int], set[Edge]] = {}
+    seen: set[tuple[int, int]] = set()
+    rows = []                    # (member, inner u, inner v) per line
     for line in lines[split + 1 :]:
         parts = line.split()
         if parts[0] != "emb" or len(parts) != 5:
@@ -198,37 +224,26 @@ def read_embedded(fh: IO[str]) -> tuple[EmbeddedGraph, DupGraph, GraphFamily]:
             i, j, a, b = (int(x) for x in parts[1:])
         except ValueError as exc:
             raise FormatError(f"non-integer field in {line!r}") from exc
-        if not (1 <= i <= dup.params.q and 1 <= j <= dup.params.p):
+        if not (1 <= i <= q and 1 <= j <= p):
             raise FormatError(f"collection index out of range in {line!r}")
         if not all(0 <= v < num_layers * prod_size for v in (a, b)):
             raise FormatError(f"vertex id out of range in {line!r}")
-        lut = path_lut(dup, i, j, w)
-        pos = np.searchsorted(lut, [a, b])
-        if not (pos < len(lut)).all() or (lut[pos] != [a, b]).any():
+        a, b = min(a, b), max(a, b)
+        (la, xa), (lb, xb) = divmod(a, prod_size), divmod(b, prod_size)
+        if (dup.paths[i - 1, j - 1, [la, lb]] != [xa // w, xb // w]).any():
             raise FormatError(f"edge {line!r} is not aligned with its path block")
-        e = make_edge(product.unflat(a), product.unflat(b))
-        if e in provenance:
+        if la == lb:
+            raise FormatError(f"edge {line!r} joins two vertices of one layer")
+        if (a, b) in seen:
             raise FormatError(f"duplicate embedded edge in {line!r}")
-        provenance[e] = (i, j)
-        inner = [(int(x) // w + 1, int(x) % w) for x in pos]
-        inner_edges.setdefault((i, j), set()).add(make_edge(*inner))
-    members = tuple(
-        tuple(
-            LayeredGraph(
-                num_layers=num_layers,
-                layer_size=w,
-                edges=frozenset(inner_edges.get((i, j), set())),
-            )
-            for j in range(1, dup.params.p + 1)
-        )
-        for i in range(1, dup.params.q + 1)
-    )
-    family = GraphFamily(
-        q=dup.params.q, p=dup.params.p, num_layers=num_layers, layer_size=w,
-        members=members,
-    )
-    graph = LayeredGraph(
-        num_layers=num_layers, layer_size=prod_size, edges=frozenset(provenance)
-    )
-    emb = EmbeddedGraph(graph=graph, provenance=provenance, inner_layer_size=w)
-    return emb, dup, family
+        seen.add((a, b))
+        rows.append(((i - 1) * p + j - 1, la * w + xa % w, lb * w + xb % w))
+    # routing the members again gives back exactly the edges read: each line
+    # is aligned with its path block and no two lines name one edge
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    n = num_layers * w
+    groups = _parts(rows[:, 0], rows[:, 1:], edge_keys(rows[:, 1:], n), q * p)
+    members = tuple(tuple(LayeredGraph(num_layers, w, EdgeView((g,), w, n))
+                          for g in groups[i * p:(i + 1) * p]) for i in range(q))
+    family = GraphFamily(q=q, p=p, num_layers=num_layers, layer_size=w, members=members)
+    return embed(family, dup), dup, family

@@ -48,7 +48,6 @@ from .dupgraph import (
     DupGraph,
     EdgeView,
     LayeredGraph,
-    Vertex,
     build_dup,
     build_dup_from_size,
     edge_keys,
@@ -238,12 +237,6 @@ class Instance:
 
     def subinstance(self, i: int, j: int) -> "Instance":
         return self.subinstances[i - 1][j - 1]
-
-    def copy_map(self, v: Vertex) -> Vertex:
-        """Mirror a vertex into the other copy."""
-        half = self.half_layers
-        layer, idx = v
-        return (layer + half, idx) if layer <= half else (layer - half, idx)
 
     def _special_blocks(self, side: str, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The j-th special block subgraph of one copy in flat ids: its

@@ -1,38 +1,57 @@
 """Reference DUP verification: a per-pair DFS over a dict adjacency.
 
 It enumerates the layered paths between every start/final pair of every
-collection, one pair at a time, and reads only the tuple views
-(``dup.graph.edges``, ``dup.upcs``).  Slow and obviously correct;
-differential tests require ``misforge.dupgraph.verify_dup``, which counts
-paths in one capped pass, to give the same named verdicts.
+collection, one pair at a time, and reads only tuples: the edge view
+``dup.graph.edges`` and each collection's paths as tuples of
+``(layer, idx)`` vertices, derived from ``dup.paths`` by ``collection``.
+Slow and obviously correct; differential tests require
+``misforge.dupgraph.verify_dup``, which counts paths in one capped pass,
+to give the same named verdicts.
 """
 
 from __future__ import annotations
 
 from misforge.avgfree import AvgFreeSet, Vector
 from misforge.budgets import Budget, default_budget
-from misforge.dupgraph import (
-    DupGraph,
-    Edge,
-    LayeredGraph,
-    LayeredPath,
-    Upc,
-    Vertex,
-    decode_index,
-    make_edge,
-)
+from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, make_edge
 from misforge.errors import BudgetExceededError, InvalidInputError
 from misforge.numutil import ceil_div
 from misforge.report import VerificationReport
 
+Path = tuple[Vertex, ...]
 
-def path_edges(path: LayeredPath):
-    for a, b in zip(path.vertices, path.vertices[1:]):
+
+def collection(dup: DupGraph, i: int) -> list[Path]:
+    """Collection i's paths (1-based i) as tuples of (layer, idx) vertices."""
+    return [tuple(enumerate(row, start=1)) for row in dup.paths[i - 1].tolist()]
+
+
+def encode_vector(v: Vector, side: int) -> int:
+    """Grid vector in {1..side}^d to its layer index, first coordinate most
+    significant."""
+    idx = 0
+    for c in v:
+        if not 1 <= c <= side:
+            raise InvalidInputError(f"coordinate {c} outside 1..{side}")
+        idx = idx * side + (c - 1)
+    return idx
+
+
+def decode_index(idx: int, side: int, d: int) -> Vector:
+    coords = []
+    for _ in range(d):
+        coords.append(idx % side + 1)
+        idx //= side
+    return tuple(reversed(coords))
+
+
+def path_edges(path: Path):
+    for a, b in zip(path, path[1:]):
         yield make_edge(a, b)
 
 
-def is_layered(path: LayeredPath) -> bool:
-    return all(b[0] == a[0] + 1 for a, b in zip(path.vertices, path.vertices[1:]))
+def is_layered(path: Path) -> bool:
+    return all(b[0] == a[0] + 1 for a, b in zip(path, path[1:]))
 
 
 def forward_adjacency(graph: LayeredGraph) -> dict[Vertex, list[Vertex]]:
@@ -49,7 +68,7 @@ def forward_adjacency(graph: LayeredGraph) -> dict[Vertex, list[Vertex]]:
 def enumerate_layered_paths(
     graph: LayeredGraph, s: Vertex, t: Vertex, budget: Budget | None = None,
     forward: dict[Vertex, list[Vertex]] | None = None,
-) -> list[LayeredPath]:
+) -> list[Path]:
     """All layered paths from s up to t, one vertex per layer in between.
 
     Only edges between consecutive layers can take part.  Search effort
@@ -62,7 +81,7 @@ def enumerate_layered_paths(
         return []
     if forward is None:
         forward = forward_adjacency(graph)
-    found: list[LayeredPath] = []
+    found: list[Path] = []
     visited = 0
     stack: list[tuple[Vertex, ...]] = [(s,)]
     while stack:
@@ -74,16 +93,16 @@ def enumerate_layered_paths(
         if head[0] == t[0] - 1:
             for nxt in forward.get(head, ()):
                 if nxt == t:
-                    found.append(LayeredPath(prefix + (t,)))
+                    found.append(prefix + (t,))
             continue
         for nxt in forward.get(head, ()):
             stack.append(prefix + (nxt,))
-    found.sort(key=lambda path: path.vertices)
+    found.sort()
     return found
 
 
 def verify_upc(
-    graph: LayeredGraph, upc: Upc, budget: Budget | None = None,
+    graph: LayeredGraph, upc: list[Path], budget: Budget | None = None,
     forward: dict[Vertex, list[Vertex]] | None = None,
 ) -> bool:
     """Check one collection against the whole graph it lives in."""
@@ -91,21 +110,21 @@ def verify_upc(
     if forward is None:
         forward = forward_adjacency(graph)
     seen: set[Vertex] = set()
-    for path in upc.paths:
-        if len(path.vertices) != graph.num_layers:
+    for path in upc:
+        if len(path) != graph.num_layers:
             return False
-        if path.vertices[0][0] != 1 or not is_layered(path):
+        if path[0][0] != 1 or not is_layered(path):
             return False
-        if any(not graph.has_vertex(v) for v in path.vertices):
+        if any(not graph.has_vertex(v) for v in path):
             return False
         if any(e not in graph.edges for e in path_edges(path)):
             return False
-        if seen & set(path.vertices):
+        if seen & set(path):
             return False
-        seen.update(path.vertices)
-    ends = {(p.start, p.final): p for p in upc.paths}
-    for s in upc.starts():
-        for t in upc.finals():
+        seen.update(path)
+    ends = {(p[0], p[-1]): p for p in upc}
+    for s in (p[0] for p in upc):
+        for t in (p[-1] for p in upc):
             paths = enumerate_layered_paths(graph, s, t, budget, forward=forward)
             expected = [ends[(s, t)]] if (s, t) in ends else []
             if paths != expected:
@@ -118,15 +137,15 @@ def recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
     params = dup.params
     side = params.side
     directions: list[Vector] | None = None
-    for upc in dup.upcs:
+    for i in range(1, len(dup.paths) + 1):
         shift: Vector | None = None
         dirs = []
-        for path in upc.paths:
-            if len(path.vertices) < 2:
+        for path in collection(dup, i):
+            if len(path) < 2:
                 return None
-            if any(idx >= params.base_layer_size for _, idx in path.vertices):
+            if any(idx >= params.base_layer_size for _, idx in path):
                 return None
-            vecs = [decode_index(idx, side, params.d) for _, idx in path.vertices]
+            vecs = [decode_index(idx, side, params.d) for _, idx in path]
             y = tuple(b - a for a, b in zip(vecs[0], vecs[1]))
             x = tuple(a - yc for a, yc in zip(vecs[0], y))
             if any(not 1 <= c <= params.ell for c in y):
@@ -161,7 +180,8 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
     params = dup.params
     report = VerificationReport()
     graph = dup.graph
-    report.add("layering", graph.well_formed() and graph.is_strict())
+    report.add("layering", graph.well_formed()
+               and all(abs(u[0] - v[0]) == 1 for u, v in graph.edges))
     report.add("layer_count", graph.num_layers == params.k + 1,
                f"expected {params.k + 1} layers, found {graph.num_layers}")
     report.add(
@@ -171,8 +191,8 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
         "pad counts disagree with layer size",
     )
 
-    counts = {params.q == len(dup.upcs), params.q == params.ell**params.d}
-    counts.add(all(len(u.paths) == params.p for u in dup.upcs))
+    counts = {params.q == len(dup.paths), params.q == params.ell**params.d}
+    counts.add(all(len(collection(dup, i)) == params.p for i in range(1, len(dup.paths) + 1)))
     report.add("collection_counts", all(counts),
                f"expected q={params.q} collections of p={params.p} paths")
     bound = ceil_div(params.ell**params.d, params.d * params.ell**2)
@@ -180,8 +200,8 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
                f"p={params.p} below pigeonhole bound {bound}")
 
     covered: dict[Edge, int] = {}
-    for upc in dup.upcs:
-        for path in upc.paths:
+    for i in range(1, len(dup.paths) + 1):
+        for path in collection(dup, i):
             for e in path_edges(path):
                 covered[e] = covered.get(e, 0) + 1
     partition_ok = set(covered) == set(graph.edges) and all(c == 1 for c in covered.values())
@@ -197,10 +217,10 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
 
     all_upcs_ok = True
     forward = forward_adjacency(graph)
-    for upc in dup.upcs:
-        if not verify_upc(graph, upc, budget, forward=forward):
+    for i in range(1, len(dup.paths) + 1):
+        if not verify_upc(graph, collection(dup, i), budget, forward=forward):
             all_upcs_ok = False
-            report.add("unique_paths", False, f"collection {upc.index} fails")
+            report.add("unique_paths", False, f"collection {i} fails")
             break
     if all_upcs_ok:
         report.add("unique_paths", True)

@@ -26,6 +26,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
+from dup_oracle import collection
 from misforge import hardness
 from misforge.budgets import Budget, default_budget
 from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, build_dup, make_edge, pad_dup
@@ -69,9 +70,9 @@ class OracleInstance:
     def special_subgraph(self, side: str, j: int) -> Subgraph:
         off = 0 if side == "L" else self.half_layers
         w = self.inner_layer_size
-        path = self.dup.upcs[self.t - 1].paths[j - 1]
+        path = collection(self.dup, self.t)[j - 1]
         verts = frozenset(
-            (layer + off, u_idx * w + x) for layer, u_idx in path.vertices for x in range(w)
+            (layer + off, u_idx * w + x) for layer, u_idx in path for x in range(w)
         )
         edges = frozenset(
             e for e, (s, i, jj) in self.provenance.items()
@@ -92,7 +93,7 @@ def base_instance(n_0: int, bits: str) -> OracleInstance:
 def nonspecial_blocks(dup: DupGraph, t: int, w: int) -> tuple[list[Vertex], list[Vertex]]:
     half = dup.graph.num_layers
     b = dup.graph.layer_size
-    special = {v for path in dup.upcs[t - 1].paths for v in path.vertices}
+    special = {v for path in collection(dup, t) for v in path}
     left, right = [], []
     for layer in range(1, half + 1):
         for u_idx in range(b):
@@ -111,13 +112,13 @@ def assemble(level: int, dup: DupGraph, w: int,
     players: list[set[Edge]] = [set() for _ in range(level + 1)]
     prov: dict[Edge, tuple[str, int, int]] = {}
     for i0, row in enumerate(subs):
-        upc = dup.upcs[i0]
+        upc = collection(dup, i0 + 1)
         for j0, sub in enumerate(row):
-            path = upc.paths[j0]
+            path = upc[j0]
             for a, edge_set in enumerate(sub.players):
                 for (la, xa), (lb, xb) in edge_set:
-                    ua = path.vertices[la - 1][1]
-                    ub = path.vertices[lb - 1][1]
+                    ua = path[la - 1][1]
+                    ub = path[lb - 1][1]
                     for off, side in ((0, "L"), (half, "R")):
                         e = make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))
                         assert e not in prov, f"block collision at {e}"
@@ -210,12 +211,12 @@ def check_properties(inst: OracleInstance, recurse: bool = True) -> Verification
         w = node.inner_layer_size
         for i in range(1, node.q_achieved + 1):
             for j in range(1, node.p_achieved + 1):
-                path = node.dup.upcs[i - 1].paths[j - 1]
+                path = collection(node.dup, i)[j - 1]
                 sub = node.subinstance(i, j)
                 for a, edge_set in enumerate(sub.players):
                     for (la, xa), (lb, xb) in edge_set:
-                        ua = path.vertices[la - 1][1]
-                        ub = path.vertices[lb - 1][1]
+                        ua = path[la - 1][1]
+                        ub = path[lb - 1][1]
                         for off in (0, half):
                             rebuilt[a].add(
                                 make_edge((la + off, ua * w + xa), (lb + off, ub * w + xb))

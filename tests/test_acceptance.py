@@ -35,6 +35,7 @@ from misforge.cli import main as cli_main
 from misforge.dupgraph import LayeredGraph, make_edge
 from misforge.streaming import drive
 
+from dup_oracle import collection
 from instance_oracle import replace_edges
 
 import numpy as np
@@ -189,12 +190,12 @@ def _mutations(inst):
     g = inst.graph
 
     # 1: clique edge touching a special block
-    path = inst.dup.upcs[inst.t - 1].paths[0]
-    layer, u_idx = path.vertices[0]
+    path = collection(inst.dup, inst.t)[0]
+    layer, u_idx = path[0]
     special_v = (layer, u_idx * w)
     other = next(
         v for v in ((1, i) for i in range(g.layer_size))
-        if v not in {p for pt in inst.dup.upcs[inst.t - 1].paths for p in pt.vertices}
+        if v not in {p for pt in collection(inst.dup, inst.t) for p in pt}
     )
     bad_edge = make_edge(special_v, (other[0] + half, other[1] * w))
     players = [set(p) for p in inst.players]
@@ -205,7 +206,7 @@ def _mutations(inst):
     ), ("join_from_t", "special_induced", "join_count")
 
     # 2: extra edge inside a special block pair
-    (l1, u1), (l2, u2) = path.vertices[0], path.vertices[1]
+    (l1, u1), (l2, u2) = path[0], path[1]
     candidates = [
         make_edge((l1, u1 * w + a), (l2, u2 * w + b))
         for a in range(w) for b in range(w)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dup_oracle
-from dup_oracle import enumerate_layered_paths, verify_upc
+from dup_oracle import (
+    collection,
+    decode_index,
+    encode_vector,
+    enumerate_layered_paths,
+    verify_upc,
+)
 from misforge import (
     Budget,
     BudgetExceededError,
@@ -22,15 +28,7 @@ from misforge import (
     verify_dup,
     write_dup,
 )
-from misforge.dupgraph import (
-    DupGraph,
-    DupParams,
-    LayeredGraph,
-    LayeredPath,
-    decode_index,
-    encode_vector,
-    make_edge,
-)
+from misforge.dupgraph import DupGraph, DupParams, LayeredGraph, make_edge
 
 
 def with_edges(dup, edges):
@@ -83,8 +81,8 @@ def test_build_2_1_1_exact():
     assert (p.q, p.p, p.ell, p.d, p.k) == (2, 1, 2, 1, 1)
     assert dup.avg_free.members == ((1,),)
     # labels below are 0-based indices of coordinate values 2,3,4
-    assert [pt.vertices for pt in dup.upcs[0].paths] == [((1, 1), (2, 2))]
-    assert [pt.vertices for pt in dup.upcs[1].paths] == [((1, 2), (2, 3))]
+    assert collection(dup, 1) == [((1, 1), (2, 2))]
+    assert collection(dup, 2) == [((1, 2), (2, 3))]
     assert sorted(dup.graph.edges) == [((1, 1), (2, 2)), ((1, 2), (2, 3))]
 
 
@@ -94,19 +92,19 @@ def test_build_2_2_1_path_arithmetic():
     assert side == 6
     i = encode_vector((1, 1), side)
     j = dup.avg_free.members.index((1, 2))
-    path = dup.upcs[i].paths[j]
-    assert path.vertices == ((1, encode_vector((2, 3), side)),
-                             (2, encode_vector((3, 5), side)))
+    path = collection(dup, i + 1)[j]
+    assert path == ((1, encode_vector((2, 3), side)),
+                    (2, encode_vector((3, 5), side)))
 
 
 @given(ell=st.integers(1, 3), d=st.integers(1, 2), k=st.integers(1, 3))
 @settings(deadline=None, max_examples=40)
 def test_q_is_ell_to_the_d(ell, d, k):
     dup = build_dup(ell, d, k)
-    assert dup.params.q == ell**d == len(dup.upcs)
-    assert all(len(u.paths) == dup.params.p for u in dup.upcs)
+    assert dup.paths.shape[:2] == (dup.params.q, dup.params.p)
+    assert dup.params.q == ell**d
     assert dup.graph.num_layers == k + 1
-    assert dup.graph.is_strict()
+    assert (np.abs(np.diff(dup.edges // dup.layer_size, axis=1)) == 1).all()
 
 
 @given(side=st.integers(1, 8), d=st.integers(1, 3), data=st.data())
@@ -143,9 +141,7 @@ def test_build_from_size_pads_to_equal_layers():
 
 def test_enumerate_single_edge():
     g = LayeredGraph(num_layers=2, layer_size=2, edges=frozenset({((1, 0), (2, 1))}))
-    assert enumerate_layered_paths(g, (1, 0), (2, 1)) == [
-        LayeredPath(vertices=((1, 0), (2, 1)))
-    ]
+    assert enumerate_layered_paths(g, (1, 0), (2, 1)) == [((1, 0), (2, 1))]
     assert enumerate_layered_paths(g, (1, 1), (2, 0)) == []
 
 
@@ -173,13 +169,13 @@ def test_enumerate_budget():
 
 def test_verify_upc_on_build():
     dup = build_dup(2, 1, 1)
-    assert verify_upc(dup.graph, dup.upcs[0])
-    assert verify_upc(dup.graph, dup.upcs[1])
+    assert verify_upc(dup.graph, collection(dup, 1))
+    assert verify_upc(dup.graph, collection(dup, 2))
 
 
 def test_upc_sharing_a_vertex_fails():
     dup = host([[[0, 0], [1, 0]]], {((1, 0), (2, 0)), ((1, 1), (2, 0))}, 2)
-    assert not verify_upc(dup.graph, dup.upcs[0])
+    assert not verify_upc(dup.graph, collection(dup, 1))
     assert not verify_dup(dup).checks["unique_paths"]
 
 
@@ -198,7 +194,7 @@ def shortcut_counterexample():
 
 def test_shortcut_breaks_uniqueness():
     dup = shortcut_counterexample()
-    assert not verify_upc(dup.graph, dup.upcs[0])
+    assert not verify_upc(dup.graph, collection(dup, 1))
     assert not verify_dup(dup).checks["unique_paths"]
     assert path_counts(dup).tolist() == [[[1, 1], [0, 1]]]
 
@@ -326,7 +322,7 @@ def test_dupg_roundtrip(ell, d, k, padding):
         dup = pad_dup(dup, dup.graph.layer_size + padding)
     back, text = roundtrip(dup)
     assert back.graph == dup.graph
-    assert back.upcs == dup.upcs
+    assert np.array_equal(back.paths, dup.paths)
     assert back.params == dup.params
     assert back.avg_free == dup.avg_free
     # writing again is byte-stable

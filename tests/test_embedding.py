@@ -1,4 +1,5 @@
 import io
+import random
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from misforge import (
     DimensionMismatchError,
     FormatError,
     GraphFamily,
+    InvalidInputError,
     build_dup,
     embed,
     induced_on_upc,
@@ -18,7 +20,19 @@ from misforge import (
     verify_inducedness,
     write_embedded,
 )
-from misforge.dupgraph import DupGraph, LayeredGraph, make_edge
+import embedding_oracle
+from dup_oracle import collection
+from misforge.dupgraph import (
+    DupGraph,
+    DupParams,
+    EdgeView,
+    LayeredGraph,
+    edge_keys,
+    edge_pairs,
+    make_edge,
+    path_lut,
+    write_dup,
+)
 from misforge.embedding import EmbeddedGraph
 
 
@@ -62,7 +76,7 @@ def test_single_edge_family():
     fam = GraphFamily(fam.q, fam.p, fam.num_layers, fam.layer_size,
                       tuple(tuple(r) for r in members))
     emb = embed(fam, dup)
-    path = dup.upcs[0].paths[0].vertices
+    path = collection(dup, 1)[0]
     expect = make_edge((1, path[0][1] * w + 0), (2, path[1][1] * w + 1))
     assert emb.graph.edges == frozenset({expect})
 
@@ -77,15 +91,14 @@ def test_all_empty_family():
 @given(seed=st.integers(0, 10_000))
 @settings(deadline=None, max_examples=40)
 def test_edge_counts_add_up(seed):
-    import random
-
     rng = random.Random(seed)
     dup = build_dup(2, 1, 1) if seed % 2 else build_dup(2, 2, 1)
     fam = random_family(dup, rng.randrange(1, 4), rng)
     emb = embed(fam, dup)
     total = sum(len(h.edges) for row in fam.members for h in row)
     assert len(emb.graph.edges) == total
-    assert len(emb.provenance) == total
+    assert [len(part) for part in emb.graph.edges.parts] == [
+        len(h.edges) for row in fam.members for h in row]
 
 
 def test_shape_mismatch_rejected():
@@ -97,8 +110,6 @@ def test_shape_mismatch_rejected():
 
 
 def test_induced_subgraph_is_relabeled_copy():
-    import random
-
     rng = random.Random(5)
     dup = build_dup(2, 1, 1)
     w = 3
@@ -116,8 +127,6 @@ def test_induced_subgraph_is_relabeled_copy():
 
 
 def test_relabeled_copy_is_isomorphic():
-    import random
-
     rng = random.Random(9)
     dup = build_dup(3, 1, 1)
     fam = random_family(dup, 3, rng)
@@ -133,8 +142,6 @@ def test_relabeled_copy_is_isomorphic():
 
 
 def test_inducedness_holds_on_dup():
-    import random
-
     rng = random.Random(3)
     for dup in (build_dup(2, 1, 1), build_dup(2, 2, 1), build_dup(2, 1, 3)):
         fam = random_family(dup, 2, rng)
@@ -142,9 +149,9 @@ def test_inducedness_holds_on_dup():
         assert verify_all_inducedness(emb, dup, fam)
 
 
-def test_shortcut_host_breaks_inducedness():
-    """Embedding into a host whose 'collection' is not unique-path lets a
-    foreign block edge leak into the induced subgraph."""
+def shortcut_host():
+    """Two 3-layer paths declared as one collection, plus a crossing edge
+    that makes it not unique-path."""
     paths = np.array([[[0, 0, 0], [1, 1, 1]]])
     edges = {
         make_edge((1, 0), (2, 0)), make_edge((2, 0), (3, 0)),
@@ -152,11 +159,15 @@ def test_shortcut_host_breaks_inducedness():
         make_edge((2, 0), (3, 1)),  # shortcut between the two paths
     }
     g = LayeredGraph(num_layers=3, layer_size=2, edges=frozenset(edges))
-    from misforge.dupgraph import DupParams
-
     params = DupParams(ell=1, d=1, k=2, p=2, q=1, padded=(0, 0, 0))
-    host = DupGraph(paths=paths, layer_size=2, params=params, avg_free=None,
+    return DupGraph(paths=paths, layer_size=2, params=params, avg_free=None,
                     edges=g.edge_array())
+
+
+def test_shortcut_host_breaks_inducedness():
+    """Embedding into a host whose 'collection' is not unique-path lets a
+    foreign block edge leak into the induced subgraph."""
+    host = shortcut_host()
     w = 1
     inner_a = LayeredGraph(3, w, frozenset({((1, 0), (2, 0))}))
     inner_b = LayeredGraph(3, w, frozenset({((2, 0), (3, 0))}))
@@ -167,14 +178,11 @@ def test_shortcut_host_breaks_inducedness():
     extra = make_edge((2, 0 * w), (3, 1 * w))
     bigger = LayeredGraph(emb.graph.num_layers, emb.graph.layer_size,
                           emb.graph.edges | {extra})
-    emb = EmbeddedGraph(graph=bigger, provenance=emb.provenance,
-                        inner_layer_size=emb.inner_layer_size)
+    emb = EmbeddedGraph(graph=bigger, inner_layer_size=emb.inner_layer_size)
     assert not verify_inducedness(emb, host, fam, 1)
 
 
 def test_p_equal_one_reduces_to_induced_copy():
-    import random
-
     rng = random.Random(1)
     dup = build_dup(2, 1, 1)
     assert dup.params.p == 1
@@ -187,8 +195,6 @@ def test_p_equal_one_reduces_to_induced_copy():
 
 
 def test_embedded_roundtrip():
-    import random
-
     rng = random.Random(7)
     dup = build_dup(2, 2, 1)
     fam = random_family(dup, 2, rng)
@@ -205,8 +211,6 @@ def test_embedded_roundtrip():
 
 
 def test_embedded_rejects_non_integer_fields():
-    import random
-
     dup = build_dup(2, 2, 1)
     buf = io.StringIO()
     write_embedded(embed(random_family(dup, 2, random.Random(7)), dup), dup, buf)
@@ -218,3 +222,137 @@ def test_embedded_rejects_non_integer_fields():
         mangled = lines[:at] + [" ".join(parts)] + lines[at + 1:]
         with pytest.raises(FormatError):
             read_embedded(io.StringIO("\n".join(mangled) + "\n"))
+
+
+@pytest.mark.parametrize("line", [
+    "emb 1 1 2 3",      # both ends in layer 1, inside path (1, 1)'s block
+    "emb 1 1 2 2",      # a self loop
+])
+def test_embedded_rejects_edges_inside_one_layer(line):
+    buf = io.StringIO()
+    write_dup(build_dup(2, 1, 1), buf)
+    with pytest.raises(FormatError):
+        read_embedded(io.StringIO(buf.getvalue() + f"embw 2\n{line}\n"))
+
+
+# -- differential: the array embedding against the tuple oracle ----------------
+
+# the exact_checks host shapes, then a host whose collection has a shortcut
+HOSTS = [build_dup(*shape) for shape in ((2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1))]
+HOSTS.append(shortcut_host())
+MUTANTS = ("none", "shortcut", "dropped", "moved")
+
+
+def with_parts(emb, ref, parts, prov):
+    """Both embeddings rebuilt from edited parts and an edited provenance."""
+    g = emb.graph
+    ordered = tuple(part[np.argsort(edge_keys(part, g.n_vertices))] for part in parts)
+    view = EmbeddedGraph(LayeredGraph(g.num_layers, g.layer_size,
+                                      EdgeView(ordered, g.layer_size, g.n_vertices)),
+                         emb.inner_layer_size)
+    tuples = embedding_oracle.EmbeddedGraph(
+        LayeredGraph(g.num_layers, g.layer_size, frozenset(prov)), prov, ref.inner_layer_size)
+    return view, tuples
+
+
+def mutate(kind, emb, ref, fam, dup, rng):
+    """One corruption applied alike to the array embedding, the oracle's
+    embedding and, for "moved", the family."""
+    size, w, (q, p, layers) = emb.graph.layer_size, emb.inner_layer_size, dup.paths.shape
+    parts, prov = list(emb.graph.edges.parts), dict(ref.provenance)
+    if kind == "shortcut":      # path j's block in layer m to path h's in layer m + 1
+        i, j, h, m = rng.randrange(q), rng.randrange(p), rng.randrange(p), rng.randrange(layers - 1)
+        u = m * size + int(dup.paths[i, j, m]) * w + rng.randrange(w)
+        v = (m + 1) * size + int(dup.paths[i, h, m + 1]) * w + rng.randrange(w)
+        edge = next(edge_pairs(np.array([[u, v]]), size))
+        if edge not in prov:
+            parts[i * p + j] = np.vstack([parts[i * p + j], [[u, v]]])
+            prov[edge] = (i + 1, j + 1)
+        return (*with_parts(emb, ref, parts, prov), fam)
+    full = [k for k, part in enumerate(parts) if len(part)]
+    if kind == "none" or not full:
+        return emb, ref, fam
+    k = rng.choice(full)
+    row = rng.randrange(len(parts[k]))
+    flat = parts[k][row]
+    edge = next(edge_pairs(flat[None], size))
+    parts[k] = np.delete(parts[k], row, axis=0)
+    del prov[edge]
+    if kind == "dropped":
+        return (*with_parts(emb, ref, parts, prov), fam)
+    # "moved": the edge and its member edge change owner, to another member
+    k2 = (k + 1 + rng.randrange(q * p - 1)) % (q * p) if q * p > 1 else k
+    parts[k2] = np.vstack([parts[k2], flat[None]])
+    prov[edge] = (k2 // p + 1, k2 % p + 1)
+    lut = path_lut(dup, k // p + 1, k % p + 1, w)
+    inner = tuple((int(x) // w + 1, int(x) % w) for x in np.searchsorted(lut, flat))
+    members = [list(r) for r in fam.members]
+    src, dst = members[k // p][k % p], members[k2 // p][k2 % p]
+    members[k // p][k % p] = LayeredGraph(layers, w, frozenset(src.edges) - {inner})
+    members[k2 // p][k2 % p] = LayeredGraph(layers, w, frozenset(dst.edges) | {inner})
+    fam = GraphFamily(fam.q, fam.p, fam.num_layers, fam.layer_size,
+                      tuple(map(tuple, members)))
+    return (*with_parts(emb, ref, parts, prov), fam)
+
+
+def test_embedding_matches_tuple_oracle():
+    rejected = []
+
+    @given(host=st.sampled_from(range(len(HOSTS))), w=st.integers(1, 4),
+           kind=st.sampled_from(MUTANTS), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200, database=None)
+    def compare(host, w, kind, seed):
+        rng = random.Random(seed)
+        dup = HOSTS[host]
+        fam = random_family(dup, w, rng)
+        emb, ref = embed(fam, dup), embedding_oracle.embed(fam, dup)
+        emb, ref, fam = mutate(kind, emb, ref, fam, dup, rng)
+        g, p = emb.graph, fam.p
+        assert set(g.edges) == set(ref.graph.edges)
+        groups = [set() for _ in g.edges.parts]
+        for edge, (i, j) in ref.provenance.items():
+            groups[(i - 1) * p + j - 1].add(edge)
+        assert [set(edge_pairs(part, g.layer_size)) for part in g.edges.parts] == groups
+        assert all((np.diff(edge_keys(part, g.n_vertices)) > 0).all() for part in g.edges.parts)
+        for i in range(1, fam.q + 1):
+            assert (induced_on_upc(emb, dup, i).edges
+                    == embedding_oracle.induced_on_upc(ref, dup, i).edges)
+            assert (verify_inducedness(emb, dup, fam, i)
+                    == embedding_oracle.verify_inducedness(ref, dup, fam, i))
+        want = embedding_oracle.verify_all_inducedness(ref, dup, fam)
+        assert verify_all_inducedness(emb, dup, fam) == want
+        ours, theirs = io.StringIO(), io.StringIO()
+        write_embedded(emb, dup, ours)
+        embedding_oracle.write_embedded(ref, dup, theirs)
+        assert ours.getvalue() == theirs.getvalue()
+        rejected.append(not want)
+
+    compare()
+    assert sum(rejected) >= 60, f"only {sum(rejected)} of {len(rejected)} cases fail"
+
+
+def test_collision_reported_like_the_oracle():
+    """Two collections whose paths meet in layers 1 and 3 route a member
+    edge that skips layer 2 onto one embedded edge."""
+    dup = DupGraph(paths=np.array([[[0, 0, 0]], [[0, 1, 0]]]), layer_size=2,
+                   params=DupParams(ell=1, d=1, k=2, p=1, q=2, padded=(0, 0, 0)), avg_free=None)
+    skip = LayeredGraph(3, 1, frozenset({((1, 0), (3, 0))}))
+    fam = GraphFamily(q=2, p=1, num_layers=3, layer_size=1, members=((skip,), (skip,)))
+    messages = []
+    for embedder in (embed, embedding_oracle.embed):
+        with pytest.raises(InvalidInputError) as exc:
+            embedder(fam, dup)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        "edge collision at ((1, 0), (3, 0)): collections (1, 1) and (2, 1) overlap")
+
+
+def test_collection_index_out_of_range_rejected():
+    dup = build_dup(2, 2, 1)
+    fam = empty_family(dup, 2)
+    emb = embed(fam, dup)
+    for i in (0, dup.params.q + 1):
+        with pytest.raises(InvalidInputError):
+            induced_on_upc(emb, dup, i)
+        with pytest.raises(InvalidInputError):
+            verify_inducedness(emb, dup, fam, i)

@@ -24,6 +24,7 @@ from misforge import (
 from misforge.dupgraph import make_edge
 from misforge.hardness import _base_instance
 
+from dup_oracle import collection
 from instance_oracle import replace_edges
 
 
@@ -182,7 +183,7 @@ def test_copies_identical():
     half = inst.half_layers
     left = {e for e in inst.graph.edges if e[0][0] <= half and e[1][0] <= half}
     right = {e for e in inst.graph.edges if e[0][0] > half and e[1][0] > half}
-    mirrored = {make_edge(inst.copy_map(u), inst.copy_map(v)) for u, v in left}
+    mirrored = {make_edge((u[0] + half, u[1]), (v[0] + half, v[1])) for u, v in left}
     assert mirrored == right
 
 
@@ -209,14 +210,14 @@ def mutate(inst, new_edges=None, new_players=None):
 
 
 def special_block_vertex(inst):
-    path = inst.dup.upcs[inst.t - 1].paths[0]
-    layer, u_idx = path.vertices[0]
+    path = collection(inst.dup, inst.t)[0]
+    layer, u_idx = path[0]
     return (layer, u_idx * inst.inner_layer_size)
 
 
 def nonspecial_vertex(inst, layer=1):
     w = inst.inner_layer_size
-    special = {v for p in inst.dup.upcs[inst.t - 1].paths for v in p.vertices}
+    special = {v for p in collection(inst.dup, inst.t) for v in p}
     for u_idx in range(inst.dup.graph.layer_size):
         if (layer, u_idx) not in special:
             return (layer, u_idx * w)
@@ -239,9 +240,9 @@ def test_mutation_clique_edge_touching_special_caught():
 
 def test_mutation_extra_special_edge_breaks_inducedness():
     inst = toy_instance(seed=2, levels=((2, 1),))
-    path = inst.dup.upcs[inst.t - 1].paths[0]
+    path = collection(inst.dup, inst.t)[0]
     w = inst.inner_layer_size
-    (l1, u1), (l2, u2) = path.vertices[0], path.vertices[1]
+    (l1, u1), (l2, u2) = path[0], path[1]
     candidates = [
         make_edge((l1, u1 * w + a), (l2, u2 * w + b)) for a in range(w) for b in range(w)
     ]
