@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .budgets import default_budget
@@ -27,6 +28,7 @@ from .hardness import (
     check_properties,
     compute_parameters,
     read_instance,
+    sample_base_instance,
     sample_instance,
     write_instance,
 )
@@ -34,8 +36,9 @@ from .oracle import enumerate_all_mis, eval_predicate, extract_predicate_from_mi
 from .streaming import tradeoff_bench
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+def _output(path: str):
+    """A context manager for the output: standard output for "-", else the file."""
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
 def cmd_gen_dup(args) -> int:
@@ -49,12 +52,8 @@ def cmd_gen_dup(args) -> int:
         if args.n is None:
             raise InvalidInputError("give either --ell with --d, or --n")
         dup = build_dup_from_size(args.n, args.k, budget)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_dup(dup, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     p = dup.params
     print(
         f"wrote {p.q} collections x {p.p} paths, {dup.graph.num_layers} layers "
@@ -100,8 +99,6 @@ def cmd_gen_instance(args) -> int:
     if args.r < 0:
         raise InvalidInputError(f"--r must be non-negative, got {args.r}")
     if args.r == 0:
-        from .hardness import sample_base_instance
-
         if args.toy is not None:
             raise InvalidInputError("--toy needs --r >= 1")
         if args.n is not None and args.n != args.n0:
@@ -125,12 +122,8 @@ def cmd_gen_instance(args) -> int:
             ],
         }
         inst = sample_instance(args.r, table, args.seed, budget)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         write_instance(inst, out, seed=args.seed, mode=extra.pop("mode"), extra=extra)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(
         f"wrote depth-{inst.r} instance on {inst.graph.n_vertices} vertices, "
         f"{len(inst.graph.edges)} edges",
@@ -189,12 +182,8 @@ def cmd_bench(args) -> int:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad bench spec: {exc}") from exc
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         rows = tradeoff_bench(spec, out, budget)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"wrote {len(rows)} rows", file=sys.stderr)
     return 0
 

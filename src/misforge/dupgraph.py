@@ -120,20 +120,8 @@ class LayeredGraph:
     def has_vertex(self, v: Vertex) -> bool:
         return 1 <= v[0] <= self.num_layers and 0 <= v[1] < self.layer_size
 
-    def well_formed(self) -> bool:
-        """Endpoints in range, no self loops, layers are independent sets."""
-        for u, v in self.edges:
-            if not (self.has_vertex(u) and self.has_vertex(v)):
-                return False
-            if u[0] == v[0]:
-                return False
-        return True
-
     def flat_id(self, v: Vertex) -> int:
         return (v[0] - 1) * self.layer_size + v[1]
-
-    def unflat(self, i: int) -> Vertex:
-        return (i // self.layer_size + 1, i % self.layer_size)
 
     def flat_edges(self) -> list[tuple[int, int]]:
         """Every edge as a (u, v) flat-id pair, u < v, sorted."""

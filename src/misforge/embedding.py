@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -51,19 +52,6 @@ class GraphFamily:
     def member(self, i: int, j: int) -> LayeredGraph:
         return self.members[i - 1][j - 1]
 
-    def well_formed(self) -> bool:
-        if len(self.members) != self.q:
-            return False
-        for row in self.members:
-            if len(row) != self.p:
-                return False
-            for g in row:
-                if g.num_layers != self.num_layers or g.layer_size != self.layer_size:
-                    return False
-                if not g.well_formed():
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
@@ -71,14 +59,17 @@ class EmbeddedGraph:
     inner_layer_size: int
 
 
-def _member_rows(family: GraphFamily) -> np.ndarray:
-    """One row (i, j, u, v) per member edge, i-major: i and j 0-based, u and
-    v the edge's inner flat ids (layer - 1) * w + x."""
-    w = family.layer_size
-    return np.array([(i, j, (la - 1) * w + xa, (lb - 1) * w + xb)
-                     for i, row in enumerate(family.members) for j, member in enumerate(row)
-                     for (la, xa), (lb, xb) in member.edges],
-                    dtype=np.int64).reshape(-1, 4)
+def _member_rows(family: GraphFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every member edge, i-major, as int64 rows: its member (i, j), 0-based;
+    its endpoints' layers and indices (la, xa, lb, xb) as the member gives
+    them; and its inner flat ids (layer - 1) * w + x."""
+    members = [(i, j, g) for i, row in enumerate(family.members) for j, g in enumerate(row)]
+    owners = np.array([(i, j) for i, j, _ in members], dtype=np.int64).reshape(-1, 2)
+    owners = np.repeat(owners, [len(g.edges) for *_, g in members], axis=0)
+    # every endpoint's two ints in order, with no Python step per edge
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(chain.from_iterable(
+        g.edges for *_, g in members))), dtype=np.int64).reshape(-1, 4)
+    return owners, ends, (ends[:, ::2] - 1) * family.layer_size + ends[:, 1::2]
 
 
 def _parts(owner: np.ndarray, rows: np.ndarray, keys: np.ndarray, count: int) -> list[np.ndarray]:
@@ -90,7 +81,19 @@ def _parts(owner: np.ndarray, rows: np.ndarray, keys: np.ndarray, count: int) ->
 def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
     """Route every family member along its collection path.  Member (i, j)'s
     edges are part (i - 1) * p + j - 1 of the result's edge view."""
-    if not family.well_formed():
+    w, q, p, shape = family.layer_size, family.q, family.p, (family.num_layers, family.layer_size)
+    try:
+        owners, ends, inner = _member_rows(family)
+        layers, idx = ends[:, ::2], ends[:, 1::2]
+        # endpoints in range, and no edge inside a layer
+        edges_ok = (layers.min(initial=1) >= 1 and layers.max(initial=1) <= family.num_layers
+                    and idx.min(initial=0) >= 0 and idx.max(initial=0) < w
+                    and (layers[:, 0] != layers[:, 1]).all())
+    except OverflowError:           # an endpoint beyond int64 is in no layer
+        edges_ok = False
+    if not edges_ok or len(family.members) != q or any(
+            len(row) != p or any((g.num_layers, g.layer_size) != shape for g in row)
+            for row in family.members):
         raise DimensionMismatchError("family members disagree on shape")
     if (family.q, family.p) != (dup.params.q, dup.params.p):
         raise DimensionMismatchError(
@@ -102,12 +105,10 @@ def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
             f"family spans {family.num_layers} layers, outer graph has "
             f"{dup.graph.num_layers}"
         )
-    w, q, p = family.layer_size, family.q, family.p
     size = dup.graph.layer_size * w
     n = dup.graph.num_layers * size
-    rows = _member_rows(family)
     luts = path_lut(dup, np.arange(1, q + 1)[:, None], np.arange(1, p + 1), w)
-    edges = np.sort(luts[rows[:, :1], rows[:, 1:2], rows[:, 2:]], axis=1)
+    edges = np.sort(luts[owners[:, :1], owners[:, 1:], inner], axis=1)
     keys = edge_keys(edges, n)
     order = np.argsort(keys, kind="stable")
     clash = np.flatnonzero(np.diff(keys[order]) == 0)
@@ -115,9 +116,9 @@ def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
         a, b = order[clash[0]], order[clash[0] + 1]
         raise InvalidInputError(
             f"edge collision at {next(edge_pairs(edges[a:a + 1], size))}: collections "
-            f"{tuple((rows[a, :2] + 1).tolist())} and {tuple((rows[b, :2] + 1).tolist())} overlap"
+            f"{tuple((owners[a] + 1).tolist())} and {tuple((owners[b] + 1).tolist())} overlap"
         )
-    parts = _parts(rows[:, 0] * p + rows[:, 1], edges, keys, q * p)
+    parts = _parts(owners[:, 0] * p + owners[:, 1], edges, keys, q * p)
     graph = LayeredGraph(num_layers=dup.graph.num_layers, layer_size=size,
                          edges=EdgeView(tuple(parts), size, n))
     return EmbeddedGraph(graph=graph, inner_layer_size=w)
@@ -162,10 +163,10 @@ def _union_induced(emb: EmbeddedGraph, dup: DupGraph, family: GraphFamily,
     """Each collection in cols induces exactly the disjoint union of the
     members of family routed along it."""
     got, labels = _induced_keys(emb, dup, cols)
-    rows, n = _member_rows(family), labels.size
-    c = rows[:, 0] + 1 - cols[0]
+    (owners, _, inner), n = _member_rows(family), labels.size
+    c = owners[:, 0] + 1 - cols[0]
     keep = (0 <= c) & (c < len(cols))
-    want = np.sort(labels[rows[keep, 1:2], rows[keep, 2:]], axis=1)
+    want = np.sort(labels[owners[keep, 1:], inner[keep]], axis=1)
     return np.array_equal(got, np.sort((c[keep] * n + want[:, 0]) * n + want[:, 1]))
 
 

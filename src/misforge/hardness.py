@@ -51,7 +51,6 @@ from .dupgraph import (
     build_dup,
     build_dup_from_size,
     edge_keys,
-    edge_pairs,
     pad_dup,
     path_lut,
 )
@@ -61,7 +60,6 @@ from .errors import (
     SizeRelationViolatedError,
 )
 from .numutil import integer_nth_root
-from .oracle import Subgraph
 from .report import VerificationReport
 
 
@@ -241,27 +239,9 @@ class Instance:
     def _special_blocks(self, side: str, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The j-th special block subgraph of one copy in flat ids: its
         vertices, and sub-instance (t, j)'s edges mapped onto them."""
-        if side not in ("L", "R"):
-            raise InvalidInputError(f"side must be 'L' or 'R', got {side!r}")
         lut = path_lut(self.dup, self.t, j, self.inner_layer_size)
         lut += (side == "R") * self.half_layers * self.graph.layer_size
         return lut, lut[np.concatenate(self.subinstance(self.t, j).player_edges)]
-
-    def special_subgraph(self, side: str, j: int) -> Subgraph:
-        """The j-th special block subgraph of one copy, as a vertex/edge view."""
-        verts, edges = self._special_blocks(side, j)
-        return Subgraph(vertices=frozenset(map(self.graph.unflat, verts.tolist())),
-                        edges=frozenset(edge_pairs(edges, self.graph.layer_size)))
-
-    def pullback_special(self, side: str, j: int, vertices) -> frozenset:
-        """Map block vertices of a special subgraph back to inner vertices."""
-        g, sub = self.graph, self.subinstance(self.t, j).graph
-        inner = {f: k for k, f in enumerate(self._special_blocks(side, j)[0].tolist())}
-        try:
-            return frozenset(sub.unflat(inner[g.flat_id(v) if g.has_vertex(v) else -1])
-                             for v in vertices)
-        except KeyError:
-            raise InvalidInputError(f"a vertex is outside block {j} of side {side}") from None
 
 
 def _ascending(keys: np.ndarray) -> bool:
@@ -356,8 +336,10 @@ def build_instance(plans: list[LevelPlan], n_0: int, tree: dict) -> Instance:
     """Deterministic assembly from a choice tree."""
 
     def build(level: int, node: dict) -> Instance:
+        if not isinstance(node, dict):
+            raise FormatError(f"level {level} node is not an object: {node!r}")
         if level == 0:
-            if "bits" not in node:
+            if not isinstance(node.get("bits"), str):
                 raise FormatError("leaf node missing bits")
             return _base_instance(n_0, node["bits"])
         plan = plans[level - 1]
@@ -365,10 +347,11 @@ def build_instance(plans: list[LevelPlan], n_0: int, tree: dict) -> Instance:
         if "t" not in node or "subs" not in node:
             raise FormatError(f"level {level} node missing t or subs")
         t = node["t"]
-        if not 1 <= t <= q:
-            raise FormatError(f"t={t} outside 1..{q} at level {level}")
+        if not isinstance(t, int) or not 1 <= t <= q:
+            raise FormatError(f"t={t!r} outside 1..{q} at level {level}")
         subs_node = node["subs"]
-        if len(subs_node) != q or any(len(row) != p for row in subs_node):
+        if not isinstance(subs_node, list) or len(subs_node) != q or any(
+                not isinstance(row, list) or len(row) != p for row in subs_node):
             raise FormatError(f"level {level} sub-tree is not {q} x {p}")
         subs = tuple(tuple(build(level - 1, cell) for cell in row) for row in subs_node)
         if subs[0][0].graph.layer_size != plan.w:
@@ -608,12 +591,16 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
         meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"metadata is not a JSON object: {meta!r}")
     for key in ("r", "n0", "levels", "tree"):
         if key not in meta:
             raise FormatError(f"metadata missing {key!r}")
     r, n0 = meta["r"], meta["n0"]
     if not isinstance(r, int) or r < 0:
         raise FormatError(f"bad r: {r!r}")
+    if not isinstance(n0, int) or not isinstance(meta["levels"], list):
+        raise FormatError(f"bad n0 {n0!r} or levels {meta['levels']!r}")
     plans = []
     budget = budget or default_budget()
     if len(meta["levels"]) != r:
@@ -621,9 +608,11 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
     for lvl in meta["levels"]:
         try:
             dup = pad_dup(build_dup(lvl["ell"], lvl["d"], lvl["k"], budget), lvl["b"])
-        except (KeyError, TypeError) as exc:
+            # build_dup bounds k, so no j of 64 or more can match it
+            k_ok = 0 <= lvl["j"] < 64 and lvl["k"] == 2 ** lvl["j"] - 1
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"bad level entry {lvl!r}") from exc
-        if lvl["k"] != 2 ** lvl["j"] - 1:
+        if not k_ok:
             raise FormatError(f"level {lvl['j']} must use k = 2^j - 1")
         plans.append(LevelPlan(j=lvl["j"], dup=dup, w=lvl["w"]))
     inst = build_instance(plans, n0, meta["tree"])

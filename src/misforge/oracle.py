@@ -1,8 +1,7 @@
 """Maximal-independent-set checks and the bit predicates they reveal.
 
 Works over any graph object exposing vertices and edges: LayeredGraph,
-the lightweight Subgraph view below, a streaming FlatGraph, or a plain
-(vertices, edges) pair.
+a streaming FlatGraph, or a plain (vertices, edges) pair.
 
 The predicate operations walk a recursive hard instance: a search
 sequence K = (k_r, ..., k_1) picks one special sub-instance per level,
@@ -10,14 +9,18 @@ ending at a base instance whose edge slots give the bits.  Any maximal
 independent set of the full graph determines those bits: at the base,
 an edge slot with an edge keeps exactly one endpoint in the set, and a
 slot without an edge keeps both.  extract_predicate_from_mis recovers
-the bits from a set alone; eval_predicate reads the constructed truth.
+the bits from a set alone, as a boolean mask over flat ids that each
+level's path table restricts and pulls back in one step; eval_predicate
+reads the constructed truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from .dupgraph import path_lut
 from .errors import (
     BudgetExceededError,
     InconsistentMisError,
@@ -30,18 +33,8 @@ PredicateBits = str
 SearchSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """Vertex-induced view used for restriction checks."""
-
-    vertices: frozenset
-    edges: frozenset
-
-
 def _vertices_and_edges(graph) -> tuple[Iterable, Iterable]:
     """The supported graph shapes as (vertices, edges), in no set order."""
-    if isinstance(graph, Subgraph):
-        return graph.vertices, graph.edges
     if isinstance(graph, tuple) and len(graph) == 2:
         return graph
     if hasattr(graph, "vertices") and hasattr(graph, "edges"):
@@ -75,6 +68,18 @@ def is_mis(graph, candidate: Iterable) -> bool:
         if v in s:
             dominated.add(u)
     return dominated == vset
+
+
+def _covers(edges: np.ndarray, chosen: np.ndarray) -> bool:
+    """is_mis over flat ids: the vertices marked in the boolean mask chosen
+    are independent in the (m, 2) edge array and dominate every vertex."""
+    u, v = edges.T
+    if (chosen[u] & chosen[v]).any():
+        return False
+    dominated = chosen.copy()
+    dominated[v[chosen[u]]] = True
+    dominated[u[chosen[v]]] = True
+    return bool(dominated.all())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -165,31 +170,31 @@ def extract_predicate_from_mis(inst, candidate: Iterable, seq: SearchSequence) -
     At every level the set restricted to each special subgraph of one of
     the two copies is a maximal independent set of that subgraph; the
     left copy is preferred when both qualify.  A set for which neither
-    copy works is evidence of a corrupt instance.
+    copy works is evidence of a corrupt instance.  The path table from
+    the special sub-instance's flat ids to its blocks' ids restricts the
+    mask and pulls it back in one indexing step.
     """
     seq = tuple(seq)
     _validate_sequence(inst, seq)
-    s = set(candidate)
-    if not is_mis(inst.graph, s):
+    flat = {v: f for f, v in enumerate(inst.graph.vertices())}
+    ids = [flat.get(v, -1) for v in set(candidate)]
+    chosen = np.zeros(inst.graph.n_vertices, dtype=bool)
+    chosen[ids] = True
+    if -1 in ids or not _covers(np.concatenate(inst.player_edges), chosen):
         raise NotAnMisError("candidate is not a maximal independent set of the instance")
-    cur, cur_s = inst, s
+    cur = inst
     for k in seq:
-        descended = False
-        for side in ("L", "R"):
-            sub = cur.special_subgraph(side, k)
-            restriction = cur_s & sub.vertices
-            if is_mis(sub, restriction):
-                cur_s = cur.pullback_special(side, k, restriction)
-                cur = cur.subinstance(cur.t, k)
-                descended = True
+        sub = cur.subinstance(cur.t, k)
+        lut = path_lut(cur.dup, cur.t, k, cur.inner_layer_size)
+        edges = np.concatenate(sub.player_edges)
+        for shift in (0, cur.half_layers * cur.graph.layer_size):     # L copy, then R
+            if _covers(edges, chosen[lut + shift]):
+                chosen = chosen[lut + shift]
                 break
-        if not descended:
+        else:
             raise InconsistentMisError(
                 f"restriction fits neither copy at depth {cur.r} (path entry {k})"
             )
-    bits = []
+        cur = sub
     half = cur.graph.layer_size
-    for i in range(half):
-        both = (1, i) in cur_s and (2, i) in cur_s
-        bits.append("0" if both else "1")
-    return "".join(bits)
+    return "".join(np.where(chosen[:half] & chosen[half:], "0", "1"))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MisforgeError, ScheduleError
 from .hardness import Instance, ToyParams, sample_instance
-from .oracle import is_mis
+from .oracle import _covers
 
 FlatEdge = tuple[int, int]
 
@@ -90,21 +90,15 @@ class EdgeStream:
         self.passes = 0
         self._max_id: int | None = None   # set once the stream has been checked
 
-    @property
-    def edges(self) -> list[FlatEdge]:
-        return [(u, v) for s in self.sections_list for u, v in s.tolist()]
-
     @classmethod
     def from_edges(cls, edges: Iterable[FlatEdge] | np.ndarray, order: str = "file",
                    seed: int | None = None) -> "EdgeStream":
         edges = _as_section(edges)
-        if order == "file":
-            pass
-        elif order == "random":
+        if order == "random":
             if seed is None:
                 raise InvalidInputError("random order needs a seed")
             edges = edges[_rng(seed).permutation(len(edges))]
-        else:
+        elif order != "file":
             raise InvalidInputError(f"unknown order {order!r} for a plain edge list")
         return cls([edges])
 
@@ -569,36 +563,46 @@ def simulate_protocol_from_stream(desc: str, inst: Instance, seed: int) -> Simul
 BENCH_FIELDS = ("n", "r", "algorithm", "passes", "peak_words", "cc_bits", "mis_valid", "seed")
 
 
-def _bench_graph(entry: dict, budget=None):
+def _spec_value(obj: dict, key: str, kind, default=None, item=None):
+    """obj[key], or default when absent, if it is a kind (a list of item if
+    item is given); otherwise InvalidInputError naming the field."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or item and not all(isinstance(x, item) for x in value):
+        raise InvalidInputError(f"bench spec field {key!r} has a bad value {value!r}")
+    return value
+
+
+def _bench_graph(entry: dict, budget=None) -> tuple[int, int | str, EdgeStream, Instance | None]:
+    """One spec entry's vertex count, r column, edge stream and, for a hard
+    instance, the instance."""
     kind = entry.get("kind")
+    seed = _spec_value(entry, "graph_seed", int, 0)
     if kind == "gnp":
-        g = gnp_graph(entry["n"], entry["p"], entry.get("graph_seed", 0))
-        return g, None
+        g = gnp_graph(_spec_value(entry, "n", int), _spec_value(entry, "p", (int, float)), seed)
+        return g.n, "", EdgeStream.from_edges(sorted(g.edges)), None
     if kind == "hard":
-        toy = ToyParams(n_0=entry["n0"], levels=tuple(tuple(x) for x in entry["toy"]))
-        inst = sample_instance(toy.r, toy, entry.get("graph_seed", 0), budget)
-        return None, inst
+        levels = _spec_value(entry, "toy", list, item=list)
+        if not all(len(x) == 2 and all(isinstance(y, int) for y in x) for x in levels):
+            raise InvalidInputError(f"bench spec field 'toy' has a bad value {levels!r}")
+        toy = ToyParams(n_0=_spec_value(entry, "n0", int), levels=tuple(map(tuple, levels)))
+        inst = sample_instance(toy.r, toy, seed, budget)
+        return inst.graph.n_vertices, inst.r, EdgeStream.from_instance(inst), inst
     raise InvalidInputError(f"unknown instance kind {kind!r}")
 
 
 def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
     """Cartesian product of instances x algorithms x seeds, one CSV row each."""
-    instances = spec.get("instances", [])
-    algorithms = spec.get("algorithms", [])
-    seeds = spec.get("seeds", [])
+    if not isinstance(spec, dict):
+        raise InvalidInputError("a bench spec is a JSON object")
+    instances = _spec_value(spec, "instances", list, [], item=dict)
+    algorithms = _spec_value(spec, "algorithms", list, [], item=str)
+    seeds = _spec_value(spec, "seeds", list, [], item=int)
     writer = csv.DictWriter(out, fieldnames=BENCH_FIELDS, lineterminator="\n")
     writer.writeheader()
     rows = []
     for entry in instances:
-        gnp, inst = _bench_graph(entry, budget)
-        if inst is not None:
-            n, r_field = inst.graph.n_vertices, inst.r
-            edges = EdgeStream.from_instance(inst).edges
-        else:
-            n, r_field = gnp.n, ""
-            edges = sorted(gnp.edges)
-            stream = EdgeStream.from_edges(edges)
-        graph_view = (range(n), edges)
+        n, r_field, stream, inst = _bench_graph(entry, budget)
+        edges = _stack(stream.sections_list)
         for desc in algorithms:
             for seed in seeds:
                 if inst is not None:
@@ -606,6 +610,8 @@ def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
                     report, cc_bits = sim.report, sim.transcript.cc_bits
                 else:
                     report, cc_bits = drive(make_algorithm(desc, n, seed), stream), ""
+                chosen = np.zeros(n, dtype=bool)
+                chosen[list(report.output)] = True
                 row = {
                     "n": n,
                     "r": r_field,
@@ -613,7 +619,7 @@ def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
                     "passes": report.passes,
                     "peak_words": report.peak_words,
                     "cc_bits": cc_bits,
-                    "mis_valid": is_mis(graph_view, report.output),
+                    "mis_valid": _covers(edges, chosen),
                     "seed": seed,
                 }
                 writer.writerow(row)

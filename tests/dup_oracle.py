@@ -11,6 +11,7 @@ to give the same named verdicts.
 
 from __future__ import annotations
 
+from embedding_oracle import layered_well_formed
 from misforge.avgfree import AvgFreeSet, Vector
 from misforge.budgets import Budget, default_budget
 from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, make_edge
@@ -180,7 +181,7 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
     params = dup.params
     report = VerificationReport()
     graph = dup.graph
-    report.add("layering", graph.well_formed()
+    report.add("layering", layered_well_formed(graph)
                and all(abs(u[0] - v[0]) == 1 for u, v in graph.edges))
     report.add("layer_count", graph.num_layers == params.k + 1,
                f"expected {params.k + 1} layers, found {graph.num_layers}")

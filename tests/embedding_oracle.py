@@ -1,8 +1,10 @@
 """Reference embedding: each embedded edge kept as a tuple pair with a
 provenance dict naming its (i, j) member.
 
-``embed`` routes the members through ``path_lut`` like the array code but
-stores the result as a ``{edge: (i, j)}`` dict; ``_expected_union`` builds
+``embed`` checks the family's shape member by member in Python
+(``family_well_formed``, over ``layered_well_formed``), routes the members
+through ``path_lut`` like the array code but stores the result as a
+``{edge: (i, j)}`` dict; ``_expected_union`` builds
 each collection's disjoint union from the members' tuple edges; and
 ``write_embedded`` sorts the dict's rows.  Differential tests require
 ``misforge.embedding`` to give the same edges, owners, induced subgraphs,
@@ -31,6 +33,31 @@ from misforge.embedding import GraphFamily
 from misforge.errors import DimensionMismatchError, InvalidInputError
 
 
+def layered_well_formed(g: LayeredGraph) -> bool:
+    """Endpoints in range, no self loops, layers are independent sets."""
+    for u, v in g.edges:
+        if not (g.has_vertex(u) and g.has_vertex(v)):
+            return False
+        if u[0] == v[0]:
+            return False
+    return True
+
+
+def family_well_formed(family: GraphFamily) -> bool:
+    """q rows of p members, each of the family's shape and well formed."""
+    if len(family.members) != family.q:
+        return False
+    for row in family.members:
+        if len(row) != family.p:
+            return False
+        for g in row:
+            if g.num_layers != family.num_layers or g.layer_size != family.layer_size:
+                return False
+            if not layered_well_formed(g):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     graph: LayeredGraph
@@ -40,7 +67,7 @@ class EmbeddedGraph:
 
 def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
     """Route every family member along its collection path."""
-    if not family.well_formed():
+    if not family_well_formed(family):
         raise DimensionMismatchError("family members disagree on shape")
     if (family.q, family.p) != (dup.params.q, dup.params.p):
         raise DimensionMismatchError(

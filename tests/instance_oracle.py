@@ -14,6 +14,11 @@ oracle only replaces the edge representation, never the sampling.
 The module also keeps the misr reader that parses every section
 (``read_instance``); ``misforge.hardness.read_instance`` must raise the
 same errors and otherwise store the same arrays with the same verdict.
+And it keeps the set-based predicate extraction
+(``extract_predicate_from_mis``), which restricts a vertex set to each
+special ``Subgraph`` and pulls it back through a dict; the mask-based
+``misforge.oracle.extract_predicate_from_mis`` must give the same bits or
+raise the same error for every candidate.
 """
 
 from __future__ import annotations
@@ -30,9 +35,23 @@ from dup_oracle import collection
 from misforge import hardness
 from misforge.budgets import Budget, default_budget
 from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, build_dup, make_edge, pad_dup
-from misforge.errors import FormatError
-from misforge.oracle import Subgraph
+from embedding_oracle import layered_well_formed
+from misforge.errors import (
+    FormatError,
+    InconsistentMisError,
+    InvalidInputError,
+    NotAnMisError,
+)
+from misforge.oracle import _validate_sequence, is_mis
 from misforge.report import VerificationReport
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """Vertex-induced view used for restriction checks."""
+
+    vertices: frozenset
+    edges: frozenset
 
 
 @dataclass(frozen=True)
@@ -79,6 +98,14 @@ class OracleInstance:
             if s == side and i == self.t and jj == j
         )
         return Subgraph(vertices=verts, edges=edges)
+
+    def pullback_special(self, side: str, j: int, vertices) -> frozenset:
+        """Map block vertices of a special subgraph back to inner vertices."""
+        off = 0 if side == "L" else self.half_layers
+        blocks = self.special_subgraph(side, j).vertices
+        if not set(vertices) <= blocks:
+            raise InvalidInputError(f"a vertex is outside block {j} of side {side}")
+        return frozenset((layer - off, idx % self.inner_layer_size) for layer, idx in vertices)
 
 
 def base_instance(n_0: int, bits: str) -> OracleInstance:
@@ -154,7 +181,7 @@ def check_properties(inst: OracleInstance, recurse: bool = True) -> Verification
 
     def walk(node: OracleInstance, prefix: str) -> None:
         g = node.graph
-        report.add(prefix + "layering", g.well_formed(), "malformed layered graph")
+        report.add(prefix + "layering", layered_well_formed(g), "malformed layered graph")
         covered: dict[Edge, int] = {}
         for part in node.players:
             for e in part:
@@ -239,6 +266,37 @@ def check_properties(inst: OracleInstance, recurse: bool = True) -> Verification
 
     walk(inst, "")
     return report
+
+
+def extract_predicate_from_mis(inst, candidate, seq) -> str:
+    """The bits from a maximal independent set alone, over vertex sets:
+    restrict to each special subgraph, L copy first, and pull back."""
+    seq = tuple(seq)
+    _validate_sequence(inst, seq)
+    s = set(candidate)
+    if not is_mis(inst.graph, s):
+        raise NotAnMisError("candidate is not a maximal independent set of the instance")
+    cur, cur_s = inst, s
+    for k in seq:
+        descended = False
+        for side in ("L", "R"):
+            sub = cur.special_subgraph(side, k)
+            restriction = cur_s & sub.vertices
+            if is_mis(sub, restriction):
+                cur_s = cur.pullback_special(side, k, restriction)
+                cur = cur.subinstance(cur.t, k)
+                descended = True
+                break
+        if not descended:
+            raise InconsistentMisError(
+                f"restriction fits neither copy at depth {cur.r} (path entry {k})"
+            )
+    bits = []
+    half = cur.graph.layer_size
+    for i in range(half):
+        both = (1, i) in cur_s and (2, i) in cur_s
+        bits.append("0" if both else "1")
+    return "".join(bits)
 
 
 def levels_meta(inst: OracleInstance) -> list[dict]:

@@ -32,6 +32,11 @@ def player_sections(inst) -> list[list[FlatEdge]]:
     return sections
 
 
+def stream_edges(stream) -> list[FlatEdge]:
+    """Every edge of a stream, section by section, as (u, v) tuples."""
+    return [(u, v) for section in stream.sections_list for u, v in section.tolist()]
+
+
 def pack_words(words: list[int]) -> bytes:
     return b"".join(struct.pack(">Q", w & (1 << 64) - 1) for w in words)
 

@@ -37,6 +37,7 @@ from misforge.streaming import drive
 
 from dup_oracle import collection
 from instance_oracle import replace_edges
+from stream_oracle import stream_edges
 
 import numpy as np
 
@@ -271,7 +272,7 @@ def test_criterion_07_streaming_validity():
     for seed in range(8):
         inst = toy(seed, ((2, 1),))
         n = inst.graph.n_vertices
-        edges = EdgeStream.from_instance(inst).edges
+        edges = stream_edges(EdgeStream.from_instance(inst))
         for order in ("player", "file", "random"):
             for desc in ("luby", "greedy", "residual:b=4"):
                 stream = EdgeStream.from_instance(inst, order=order, seed=seed)

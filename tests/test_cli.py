@@ -171,3 +171,18 @@ def test_bad_bench_spec(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("{not json")
     assert main(["bench", "--spec", str(spec), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"instances": [{"kind": "gnp"}], "algorithms": ["luby"], "seeds": [1]}, "'n'"),
+    ([1, 2], "JSON object"),
+    ({"instances": [{"kind": "gnp", "n": 8, "p": 0.3}], "algorithms": ["luby"],
+      "seeds": ["a"]}, "'seeds'"),
+    ({"instances": [{"kind": "hard", "n0": 4, "toy": [[1, "x"]]}], "algorithms": ["luby"],
+      "seeds": [1]}, "'toy'"),
+])
+def test_bad_bench_spec_fields(tmp_path, capsys, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert field in capsys.readouterr().err

@@ -331,6 +331,41 @@ def test_embedding_matches_tuple_oracle():
     assert sum(rejected) >= 60, f"only {sum(rejected)} of {len(rejected)} cases fail"
 
 
+DEFECTS = ("none", "layers", "width", "layer 0", "layer past", "index -1", "index w",
+           "index past int64", "same layer")
+
+
+@given(host=st.integers(0, 4), w=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       defect=st.sampled_from(DEFECTS))
+@settings(deadline=None, max_examples=150)
+def test_embed_rejects_exactly_malformed_families(host, w, seed, defect):
+    """embed raises DimensionMismatchError exactly when the oracle's
+    member-by-member well_formed is False.  The family is random and well
+    formed but for at most one defect in one member: a wrong shape, an
+    endpoint outside the layers or indices, or an edge inside one layer."""
+    rng = random.Random(seed)
+    dup = HOSTS[host]
+    fam = random_family(dup, w, rng)
+    layers, p, x = fam.num_layers, fam.p, rng.randrange(w)
+    k = rng.randrange(fam.q * p)
+    members = [list(row) for row in fam.members]
+    g = members[k // p][k % p]
+    bad = {"layer 0": ((0, x), (1, x)), "layer past": ((layers, x), (layers + 1, x)),
+           "index -1": ((1, -1), (2, x)), "index w": ((1, x), (2, w)),
+           "index past int64": ((1, x), (2, 2**63)), "same layer": ((1, 0), (1, w - 1))}
+    shape = {"layers": (layers + 1, w), "width": (layers, w + 1)}.get(defect, (layers, w))
+    edges = frozenset(g.edges) | ({bad[defect]} if defect in bad else set())
+    members[k // p][k % p] = LayeredGraph(*shape, edges)
+    fam = GraphFamily(fam.q, p, layers, w, tuple(map(tuple, members)))
+    assert embedding_oracle.family_well_formed(fam) == (defect == "none")
+    for embedder in (embed, embedding_oracle.embed):
+        if defect == "none":
+            embedder(fam, dup)
+        else:
+            with pytest.raises(DimensionMismatchError, match="disagree on shape"):
+                embedder(fam, dup)
+
+
 def test_collision_reported_like_the_oracle():
     """Two collections whose paths meet in layers 1 and 3 route a member
     edge that skips layer 2 onto one embedded edge."""

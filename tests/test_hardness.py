@@ -2,6 +2,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,25 +282,26 @@ def test_mutation_player_edge_swap_caught():
 
 
 def test_special_subgraph_matches_inner():
+    """The special blocks of either copy hold sub-instance (t, j)'s edges
+    routed by the blocks' path table, and pulling each block id back to
+    its index in that table gives the inner graph exactly."""
     inst = toy_instance(seed=4, levels=((2, 1),))
     for side in ("L", "R"):
         for j in range(1, inst.p_achieved + 1):
-            sub = inst.special_subgraph(side, j)
+            verts, edges = inst._special_blocks(side, j)
             inner = inst.subinstance(inst.t, j)
-            pulled = inst.pullback_special(side, j, sub.vertices)
-            assert pulled == set(inner.graph.vertices())
-            pulled_edges = {
-                tuple(sorted(inst.pullback_special(side, j, e))) for e in sub.edges
-            }
-            direct = {tuple(sorted(e)) for e in inner.graph.edges}
-            assert pulled_edges == direct
+            assert len(verts) == inner.graph.n_vertices
+            assert (np.diff(verts) > 0).all()
+            pulled = np.searchsorted(verts, edges)
+            assert (verts[pulled] == edges).all()
+            assert set(map(tuple, pulled.tolist())) == set(inner.graph.flat_edges())
 
 
 def test_special_subgraph_stable():
     inst = toy_instance(seed=4, levels=((2, 1),))
-    a = [inst.special_subgraph("L", j).edges for j in range(1, inst.p_achieved + 1)]
-    b = [inst.special_subgraph("L", j).edges for j in range(1, inst.p_achieved + 1)]
-    assert a == b
+    a = [inst._special_blocks("L", j)[1] for j in range(1, inst.p_achieved + 1)]
+    b = [inst._special_blocks("L", j)[1] for j in range(1, inst.p_achieved + 1)]
+    assert all(map(np.array_equal, a, b))
 
 
 # -- seeded tree sampling -----------------------------------------------------
@@ -377,9 +379,18 @@ def test_misr_rejects_mangled():
         lambda t: t.replace('"w":2', '"w":1', 1),             # inner width not the base's
         lambda t: re.sub(r"\n(\d+ \d+)\n(\d+ \d+)\n", r"\n\1 \2\n", t, count=1),  # 2 edges, 1 line
         lambda t: t.replace('"w":2', '"w":"x"', 1),
+        lambda t: re.sub(r'"n0":\d+', '"n0":"x"', t, count=1),
+        lambda t: t.replace('"levels":', '"levels":5,"x":', 1),
+        lambda t: re.sub(r'"j":\d+', '"j":"x"', t, count=1),
+        lambda t: re.sub(r'"b":\d+', f'"b":{10**30}', t, count=1),     # overflows int64
+        lambda t: t.replace('"tree":', '"tree":5,"x":', 1),
+        lambda t: t.replace('"subs":', '"subs":5,"x":', 1),
+        lambda t: re.sub(r'"t":\d+', '"t":"a"', t, count=1),
     ):
+        mangled = mangle(text)
+        assert mangled != text
         with pytest.raises(FormatError):
-            read_instance(io.StringIO(mangle(text)))
+            read_instance(io.StringIO(mangled))
 
 
 def test_misr_flags_edge_tampering():

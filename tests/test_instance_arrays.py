@@ -29,6 +29,7 @@ from misforge import (
     write_instance,
 )
 from misforge import hardness
+from misforge.dupgraph import edge_pairs
 from misforge.hardness import EdgeView
 
 import instance_oracle as oracle
@@ -80,9 +81,14 @@ def test_arrays_agree_with_tuple_oracle(shape, seed):
         assert [len(p) for p in node.players] == [len(p) for p in want.players]
         assert node.graph.edges == want.graph.edges
         if node.r >= 1:
+            g = node.graph
             for side in ("L", "R"):
                 for j in range(1, node.p_achieved + 1):
-                    assert node.special_subgraph(side, j) == want.special_subgraph(side, j)
+                    verts, edges = node._special_blocks(side, j)
+                    sub = want.special_subgraph(side, j)
+                    assert {(f // g.layer_size + 1, f % g.layer_size)
+                            for f in verts.tolist()} == sub.vertices
+                    assert set(edge_pairs(edges, g.layer_size)) == sub.edges
     assert misr_text(inst, seed) == misr_text(ref, seed, oracle.write_instance)
     assert check_properties(inst).checks == oracle.check_properties(ref).checks
 
@@ -128,7 +134,7 @@ def test_join_membership_is_checked_not_only_its_size():
     inst, ref = build_both((4, ((2, 1),)), 3)
     join = set(ref.players[-1])
     u, v = min(join)
-    special = min(inst.special_subgraph("R", 1).vertices)
+    special = min(ref.special_subgraph("R", 1).vertices)
     parts = [set(p) for p in ref.players[:-1]] + [(join - {(u, v)}) | {(u, special)}]
     bad_ref = dataclasses.replace(
         ref, players=tuple(map(frozenset, parts)),

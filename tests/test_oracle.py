@@ -2,6 +2,7 @@ import itertools
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +18,16 @@ from misforge import (
     extract_predicate_from_mis,
     greedy_mis,
     is_mis,
+    plan_levels,
     sample_instance,
+    sample_tree,
 )
 from misforge.hardness import _base_instance
-from misforge.oracle import Subgraph
+from misforge.oracle import _covers
 
 from conftest import brute_all_mis, brute_is_mis
+from instance_oracle import Subgraph
+import instance_oracle
 import mis_oracle
 
 TRIANGLE = ({"a", "b", "c"}, {("a", "b"), ("b", "c"), ("a", "c")})
@@ -59,6 +64,20 @@ def test_is_mis_matches_brute(n, data):
     cand = data.draw(st.sets(st.integers(0, n - 1)))
     view = (set(range(n)), set(edges))
     assert is_mis(view, cand) == brute_is_mis(range(n), edges, cand)
+
+
+@given(n=st.integers(1, 8), data=st.data())
+@settings(deadline=None, max_examples=120)
+def test_covers_matches_is_mis(n, data):
+    """The mask check behind extraction and the bench's mis_valid column
+    against the set-based check and the brute force."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set())))
+    chosen = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cand = set(np.flatnonzero(chosen).tolist())
+    want = brute_is_mis(range(n), edges, cand)
+    assert is_mis((range(n), edges), cand) == want
+    assert _covers(np.array(edges, dtype=np.int64).reshape(-1, 2), chosen) is want
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -217,9 +236,9 @@ def test_extract_detects_corruption():
     # breaking maximality inside both special copies must be reported,
     # not silently decoded
     inst = toy(seed=3, levels=((1, 1),))
-    sub_l = inst.special_subgraph("L", 1)
-    sub_r = inst.special_subgraph("R", 1)
-    target = sub_l.vertices | sub_r.vertices
+    g = inst.graph
+    target = {(f // g.layer_size + 1, f % g.layer_size)
+              for side in ("L", "R") for f in inst._special_blocks(side, 1)[0].tolist()}
     found = None
     for s in enumerate_all_mis(inst.graph):
         trimmed = set(s) - target
@@ -235,3 +254,48 @@ def test_subgraph_view_duck_typing():
     sub = Subgraph(vertices=frozenset({1, 2}), edges=frozenset({(1, 2)}))
     assert is_mis(sub, {1})
     assert is_mis((["x"], []), {"x"})
+
+
+def outcome(extract, inst, candidate, seq):
+    """extract's bits, or the type and message of what it raised."""
+    try:
+        return extract(inst, candidate, seq)
+    except Exception as exc:       # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+@given(shape=st.integers(0, 3), seed=st.integers(0, 10_000), pick=st.integers(0, 10**6))
+@settings(deadline=None, max_examples=40)
+def test_extract_matches_set_oracle(shape, seed, pick):
+    """The mask extraction against the set-based one it replaced, on the
+    exact_checks MIS shapes: every MIS x sequence, and for each MIS a
+    vertex dropped, a vertex added, a foreign (99, 0) and a non-pair "x"."""
+    n0, levels = [(4, None), (4, ((1, 1),)), (2, ((1, 1),)), (2, ((2, 1),))][shape]
+    if levels is None:
+        bits = format(seed % 4, "02b")
+        inst, ref = _base_instance(n0, bits), instance_oracle.base_instance(n0, bits)
+    else:
+        toy_params = ToyParams(n_0=n0, levels=levels)
+        plans = plan_levels(toy_params)
+        tree = sample_tree(plans, n0, seed)
+        inst = sample_instance(toy_params.r, toy_params, seed)
+        ref = instance_oracle.build_instance(plans, n0, tree)
+    seqs = [()]
+    cur = inst
+    while cur.r >= 1:
+        seqs = [s + (k,) for s in seqs for k in range(1, cur.p_achieved + 1)]
+        cur = cur.subinstance(cur.t, 1)
+    vertices = sorted(inst.graph.vertices())
+    sets = enumerate_all_mis(inst.graph)
+    assert sets
+    for s in sets:
+        members, others = sorted(s), sorted(set(vertices) - s)
+        candidates = [s, s - {members[pick % len(members)]}, s | {(99, 0)}, s | {"x"}]
+        if others:
+            candidates.append(s | {others[pick % len(others)]})
+        for cand in candidates:
+            for seq in seqs:
+                got = outcome(extract_predicate_from_mis, inst, cand, seq)
+                assert got == outcome(instance_oracle.extract_predicate_from_mis, ref, cand, seq)
+                if cand is s:
+                    assert got == eval_predicate(inst, seq)

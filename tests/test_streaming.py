@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -21,7 +22,10 @@ from misforge import (
     simulate_protocol_from_stream,
     tradeoff_bench,
 )
+from misforge import streaming
 from misforge.streaming import BufferedGreedyMIS, LubyMIS, drive
+
+from stream_oracle import stream_edges
 
 
 def flat_view(g):
@@ -140,12 +144,12 @@ def test_stream_orders_cover_instance():
     n = inst.graph.n_vertices
     for order in ("player", "file", "random"):
         stream = EdgeStream.from_instance(inst, order=order, seed=3)
-        assert sorted(stream.edges) == sorted(
+        assert sorted(stream_edges(stream)) == sorted(
             (inst.graph.flat_id(u), inst.graph.flat_id(v))
             for u, v in inst.graph.edges
         )
         rep = run_luby(stream, n, seed=11)
-        flat = (set(range(n)), set(EdgeStream.from_instance(inst).edges))
+        flat = (set(range(n)), set(stream_edges(EdgeStream.from_instance(inst))))
         assert is_mis(flat, rep.output)
 
 
@@ -208,6 +212,25 @@ def test_bench_rows_and_validity():
     assert all(row["mis_valid"] == "True" for row in parsed)
     hard = [row for row in parsed if row["r"] != ""]
     assert hard and all(row["cc_bits"] != "" for row in hard)
+
+
+@pytest.mark.parametrize("damage", ["drop", "add"])
+def test_bench_flags_invalid_outputs(monkeypatch, damage):
+    """mis_valid checks each output against the stream's edges: one vertex
+    dropped from an MIS is not dominating, one added is not independent."""
+    def damaged(alg, stream, hook=None):
+        rep = drive(alg, stream, hook)
+        out = sorted(rep.output)
+        other = min(set(range(rep.n)) - rep.output)
+        chosen = out[1:] if damage == "drop" else out + [other]
+        return dataclasses.replace(rep, output=frozenset(chosen))
+
+    monkeypatch.setattr(streaming, "drive", damaged)
+    spec = {"instances": [{"kind": "gnp", "n": 32, "p": 0.2, "graph_seed": 1},
+                          {"kind": "hard", "n0": 4, "toy": [[1, 1]], "graph_seed": 7}],
+            "algorithms": ["luby", "greedy"], "seeds": [1, 2]}
+    rows = tradeoff_bench(spec, io.StringIO())
+    assert len(rows) == 8 and not any(row["mis_valid"] for row in rows)
 
 
 def test_bench_storage_monotone_in_b():
