@@ -18,13 +18,14 @@ import io
 import math
 
 from misforge import (
+    BufferedGreedyMIS,
     EdgeStream,
+    LubyMIS,
+    ResidualSparsityMIS,
     ToyParams,
+    drive,
     gnp_graph,
     is_mis,
-    run_greedy_buffered,
-    run_luby,
-    run_residual_sparsity,
     sample_instance,
     simulate_protocol_from_stream,
     tradeoff_bench,
@@ -35,13 +36,12 @@ def compare_runners(n: int = 400, p: float = 0.08, seed: int = 1) -> None:
     g = gnp_graph(n, p, seed)
     print(f"G({n}, {p}): {len(g.edges)} edges")
     print(f"  {'algorithm':<22} {'passes':>6} {'peak words':>10} {'|MIS|':>6}")
+    stream = EdgeStream.from_edges(g.edges)     # one stream, replayed by every run
     runs = [
-        ("buffered greedy", run_greedy_buffered(EdgeStream.from_edges(g.edges), n, seed)),
-        ("luby", run_luby(EdgeStream.from_edges(g.edges), n, seed)),
-        ("residual b=8", run_residual_sparsity(
-            EdgeStream.from_edges(g.edges), n, [8, "all"], seed)),
-        ("residual b=32,8", run_residual_sparsity(
-            EdgeStream.from_edges(g.edges), n, [32, 8, "all"], seed)),
+        ("buffered greedy", drive(BufferedGreedyMIS(n, seed), stream)),
+        ("luby", drive(LubyMIS(n, seed), stream)),
+        ("residual b=8", drive(ResidualSparsityMIS(n, [8, "all"], seed), stream)),
+        ("residual b=32,8", drive(ResidualSparsityMIS(n, [32, 8, "all"], seed), stream)),
     ]
     for name, rep in runs:
         assert is_mis(g, rep.output)
@@ -90,7 +90,7 @@ if __name__ == "__main__":
     worst = 0
     for seed in range(30):
         g = gnp_graph(n, 0.1, seed)
-        rep = run_luby(EdgeStream.from_edges(g.edges), n, seed)
+        rep = drive(LubyMIS(n, seed), EdgeStream.from_edges(g.edges))
         worst = max(worst, rep.extras["rounds"])
     print(f"\nluby on 30 G({n}, 0.1) seeds: worst round count {worst} "
           f"(2 log2 n = {2 * math.log2(n):.0f})")

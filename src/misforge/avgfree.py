@@ -37,6 +37,11 @@ Vector = tuple[int, ...]
 # states, one of 256 about 8 k, at a few percent more time.
 BLOCK = 256
 
+# d is bounded before ell^d or the grid is built.  No grid of d > 63 is
+# usable: for ell >= 2 it has at least 2^64 vectors, and a DUP grid (side
+# at least 3) already outgrows int64 vertex ids at d = 40.
+MAX_D = 63
+
 
 @dataclass(frozen=True)
 class AvgFreeSet:
@@ -62,15 +67,16 @@ def build_avg_free_set(ell: int, d: int, budget: Budget | None = None) -> AvgFre
 
     Ties between classes of equal size go to the smaller squared length.
     """
-    if ell < 1 or d < 1:
-        raise InvalidInputError(f"need ell >= 1 and d >= 1, got ell={ell}, d={d}")
+    if ell < 1 or not 1 <= d <= MAX_D:
+        raise InvalidInputError(f"need ell >= 1 and 1 <= d <= {MAX_D}, got ell={ell}, d={d}")
     budget = budget or default_budget()
     total = ell**d
     if total > budget.max_vectors:
         raise BudgetExceededError(
             f"ell^d = {total} exceeds vector enumeration cap {budget.max_vectors}"
         )
-    grid = np.indices((ell,) * d).reshape(d, -1).T + 1   # lexicographic order
+    # row i holds the base-ell digits of i, most significant first, plus 1
+    grid = np.arange(total)[:, None] // ell ** np.arange(d - 1, -1, -1) % ell + 1
     norms = (grid * grid).sum(axis=1)
     lengths, sizes = np.unique(norms, return_counts=True)
     norm_sq = int(lengths[np.argmax(sizes)])   # the first maximum: the smaller length

@@ -41,7 +41,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .avgfree import AvgFreeSet, build_avg_free_set
+from .avgfree import MAX_D, AvgFreeSet, build_avg_free_set
 from .budgets import Budget, default_budget
 from .errors import BudgetExceededError, FormatError, InvalidInputError, TooSmallError
 from .numutil import ceil_div, integer_nth_root
@@ -58,8 +58,16 @@ def make_edge(u: Vertex, v: Vertex) -> Edge:
 
 
 def edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    """One int64 per edge, ordered as the edges' (u, v) pairs."""
-    return edges[:, 0] * n + edges[:, 1]
+    """One int64 key u * n + v per edge (u, v) along the last axis, ordered
+    as the pairs.  Ids in [0, n) need check_key_range(n) first."""
+    return edges[..., 0] * n + edges[..., 1]
+
+
+def check_key_range(n: int) -> None:
+    """Raise InvalidInputError unless every edge key of n vertices, at most
+    n * n - 1, fits in int64 (n up to about 3.04e9)."""
+    if n * n > 1 << 63:
+        raise InvalidInputError(f"{n} vertices is too many: edge keys u * n + v overflow int64")
 
 
 def edge_pairs(edges: np.ndarray, layer_size: int) -> Iterator[Edge]:
@@ -168,12 +176,17 @@ def _flat_paths(paths: np.ndarray, layer_size: int) -> np.ndarray:
     return paths + np.arange(paths.shape[-1]) * layer_size
 
 
+def _path_keys(paths: np.ndarray, layer_size: int) -> np.ndarray:
+    """The edge key of every path step, shape (q, p, k)."""
+    ids = _flat_paths(paths, layer_size)
+    return edge_keys(np.stack([ids[..., :-1], ids[..., 1:]], axis=-1),
+                     paths.shape[-1] * layer_size)
+
+
 def _path_edges(paths: np.ndarray, layer_size: int) -> np.ndarray:
     """The edges the paths use, sorted and distinct, in flat ids."""
-    ids = _flat_paths(paths, layer_size)
-    n = paths.shape[-1] * layer_size
-    keys = _distinct(ids[..., :-1] * n + ids[..., 1:])
-    return np.column_stack(np.divmod(keys, n))
+    keys = _distinct(_path_keys(paths, layer_size))
+    return np.column_stack(np.divmod(keys, paths.shape[-1] * layer_size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +201,7 @@ class DupGraph:
     edges: np.ndarray | None = None     # (m, 2) flat ids
 
     def __post_init__(self):
+        check_key_range(self.paths.shape[-1] * self.layer_size)
         if self.edges is None:
             object.__setattr__(self, "edges", _path_edges(self.paths, self.layer_size))
 
@@ -376,8 +390,7 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
                f"p={params.p} below pigeonhole bound {bound}")
 
     in_range = ((0 <= paths) & (paths < size)).all(axis=(1, 2))
-    ids = _flat_paths(paths, size)
-    path_keys = ids[..., :-1] * n + ids[..., 1:]
+    path_keys = _path_keys(paths, size)
     keys = _graph_keys(dup)
     report.add("edge_partition",
                bool(in_range.all()) and np.array_equal(np.sort(path_keys, axis=None), keys),
@@ -440,7 +453,7 @@ def read_dup(fh: IO[str]) -> DupGraph:
     if len(head) != 8 or head[0] != "dupg" or head[1] != "1":
         raise FormatError(f"bad dupg header: {lines[0]!r}")
     num_layers, layer_size, p, q, ell, d = _ints(head[2:], lines[0])
-    if num_layers < 2 or layer_size < 1 or p < 1 or q < 1 or ell < 1 or d < 1:
+    if num_layers < 2 or layer_size < 1 or p < 1 or q < 1 or ell < 1 or not 1 <= d <= MAX_D:
         raise FormatError("header fields out of range")
     k = num_layers - 1
     base = ((k + 2) * ell) ** d

@@ -32,6 +32,7 @@ from .dupgraph import (
     DupGraph,
     EdgeView,
     LayeredGraph,
+    check_key_range,
     edge_keys,
     edge_pairs,
     path_lut,
@@ -107,6 +108,7 @@ def embed(family: GraphFamily, dup: DupGraph) -> EmbeddedGraph:
         )
     size = dup.graph.layer_size * w
     n = dup.graph.num_layers * size
+    check_key_range(n)
     luts = path_lut(dup, np.arange(1, q + 1)[:, None], np.arange(1, p + 1), w)
     edges = np.sort(luts[owners[:, :1], owners[:, 1:], inner], axis=1)
     keys = edge_keys(edges, n)

@@ -50,6 +50,7 @@ from .dupgraph import (
     LayeredGraph,
     build_dup,
     build_dup_from_size,
+    check_key_range,
     edge_keys,
     pad_dup,
     path_lut,
@@ -78,8 +79,6 @@ class ParamTable:
     r: int
     n: int
     n_0: int
-    eta_p: float
-    eta_q: float
     levels: tuple[LevelParams, ...]      # levels[j-1] describes level j
 
     def level(self, j: int) -> LevelParams:
@@ -101,11 +100,11 @@ def _check_n0(n_0: int) -> None:
         raise InvalidInputError(f"n_0 must be even and at least 2, got {n_0}")
 
 
-def _count_with_slack(m: int, eta: float) -> int:
-    """floor(m / exp(eta * ln(m)^(3/4))), at least 1."""
+def _count_with_slack(m: int) -> int:
+    """floor(m / exp(ln(m)^(3/4))), at least 1: the declared p and q."""
     if m < 1:
         raise InvalidInputError(f"need a positive layer total, got {m}")
-    denom = math.exp(eta * math.log(m) ** 0.75)
+    denom = math.exp(math.log(m) ** 0.75)
     try:
         value = int(m / denom)
     except OverflowError:
@@ -113,9 +112,7 @@ def _count_with_slack(m: int, eta: float) -> int:
     return max(1, value)
 
 
-def compute_parameters(
-    r: int, n: int, n_0: int, eta_p: float = 1.0, eta_q: float = 1.0
-) -> ParamTable:
+def compute_parameters(r: int, n: int, n_0: int) -> ParamTable:
     """Exact-integer size cascade for a depth-r family on n vertices.
 
     Level sizes follow n_{j-1} = (n_j / 2)^((2^(j-1)-1)/(2^j-1)) with
@@ -145,18 +142,9 @@ def compute_parameters(
         b_j = sizes[j] // (2 * sizes[j - 1])
         if b_j < 1:
             raise SizeRelationViolatedError(level=j, n=sizes[j], required=2 * sizes[j - 1])
-        m = b_j * 2**j
-        levels.append(
-            LevelParams(
-                j=j,
-                n=sizes[j],
-                b=b_j,
-                p=_count_with_slack(m, eta_p),
-                q=_count_with_slack(m, eta_q),
-                k=2**j - 1,
-            )
-        )
-    return ParamTable(r=r, n=n, n_0=n_0, eta_p=eta_p, eta_q=eta_q, levels=tuple(levels))
+        count = _count_with_slack(b_j * 2**j)
+        levels.append(LevelParams(j=j, n=sizes[j], b=b_j, p=count, q=count, k=2**j - 1))
+    return ParamTable(r=r, n=n, n_0=n_0, levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -289,6 +277,7 @@ def _embedded_players(dup: DupGraph, w: int,
 
 def _assemble(level: int, dup: DupGraph, w: int,
               subs: tuple[tuple[Instance, ...], ...], t: int) -> Instance:
+    check_key_range(2 * dup.graph.n_vertices * w)
     # edge-disjoint collections of vertex-disjoint paths map no two edges to one
     players = _embedded_players(dup, w, subs)
     # the join L x R; every left id is below every right id, so it comes out sorted

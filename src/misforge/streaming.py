@@ -1,9 +1,10 @@
 """Multi-pass edge-stream MIS algorithms and their protocol view.
 
 Streams replay a fixed edge order each pass; the driver counts passes
-and tracks a peak word count.  Accounting convention: state retained
-between stream elements counts one word per vertex id, priority value
-or status entry and two words per buffered edge; O(1) counters are
+and tracks a peak word count.  A runner's memory has one definition,
+its snapshot ``state_words()``: an int64 array with one entry per word
+of state retained between stream elements, one per vertex id, priority
+value or status entry and two per buffered edge.  O(1) counters are
 exempt; the output set is written to an output tape and not counted.
 
 A stream is a list of owner sections, each an ``(m, 2)`` int64 array of
@@ -15,11 +16,10 @@ Before the first pass ``drive`` checks the stream once: every vertex id
 lies in ``[0, n)``, and there are no self loops and no duplicate edges;
 a violation raises ``InvalidInputError``.
 
-Accounting stays exact at section granularity.  Within a section no
-runner's ``current_words`` ever decreases: blocked masks, stored edges
-and buffers only grow, and retire passes only rewrite status entries.
-So the peak sampled at section boundaries equals the peak over every
-single edge.
+Accounting stays exact at section granularity.  The snapshot never
+shrinks within a section: blocked masks, stored edges and buffers only
+grow, and retire passes only rewrite status entries.  So the peak
+sampled at section boundaries equals the peak over every single edge.
 
 A run over a stream whose edges are grouped by owner simulates a
 blackboard protocol: at the end of each owner's section the live memory
@@ -38,7 +38,7 @@ from typing import IO, Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, MisforgeError, ScheduleError
+from .errors import InvalidInputError, ScheduleError
 from .hardness import Instance, ToyParams, sample_instance
 from .oracle import _covers
 
@@ -50,7 +50,7 @@ UNDECIDED, IN_MIS, OUT = 0, 1, 2
 @dataclass(frozen=True)
 class FlatGraph:
     n: int
-    edges: frozenset[FlatEdge]
+    edges: tuple[FlatEdge, ...]     # (u, v) with u < v, sorted
 
     @property
     def vertices(self) -> list[int]:
@@ -58,14 +58,11 @@ class FlatGraph:
 
 
 def gnp_graph(n: int, p: float, seed: int) -> FlatGraph:
-    """Erdos-Renyi graph with a counter-based generator."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Erdos-Renyi graph with a counter-based generator; the edges come
+    in ``np.triu_indices`` order, which is sorted."""
     us, vs = np.triu_indices(n, k=1)
-    mask = rng.random(len(us)) < p
-    edges = frozenset(
-        (int(u), int(v)) for u, v in zip(us[mask], vs[mask])
-    )
-    return FlatGraph(n=n, edges=edges)
+    mask = _rng(seed).random(len(us)) < p
+    return FlatGraph(n=n, edges=tuple(zip(us[mask].tolist(), vs[mask].tolist())))
 
 
 def _as_section(edges) -> np.ndarray:
@@ -87,7 +84,6 @@ class EdgeStream:
 
     def __init__(self, sections: Iterable):
         self.sections_list = [_as_section(s) for s in sections]
-        self.passes = 0
         self._max_id: int | None = None   # set once the stream has been checked
 
     @classmethod
@@ -131,11 +127,6 @@ class EdgeStream:
             self._max_id = width - 1
         if self._max_id >= n:
             raise InvalidInputError(f"vertex id {self._max_id} is outside [0, {n})")
-
-    def iter_sections(self):
-        self.passes += 1
-        for section in self.sections_list:
-            yield section
 
 
 @dataclass
@@ -240,11 +231,6 @@ class LubyMIS:
             self.phase = "select"
             self._done = not (self.status == UNDECIDED).any()
 
-    @property
-    def current_words(self) -> int:
-        return self.n + int(np.count_nonzero(self.drawn) + np.count_nonzero(self.blocked)
-                            + np.count_nonzero(self.newly))
-
     def state_words(self) -> np.ndarray:
         return np.concatenate([self.status, self.prio[self.drawn],
                                np.flatnonzero(self.blocked), np.flatnonzero(self.newly)],
@@ -336,7 +322,7 @@ class ResidualSparsityMIS:
     def end_pass(self) -> None:
         if self.mode == "store":
             # words only grow during a store pass, so its end is the phase's peak
-            self._phase_peak = self.current_words
+            self._phase_peak = len(self.state_words())
             members = np.flatnonzero(self.sampled)
             order = self.rng.permutation(len(members))
             self.newly = _greedy(members[order], _stack(self.stored),
@@ -359,12 +345,6 @@ class ResidualSparsityMIS:
         self.newly[:] = False
         self.phase_idx += 1
         self._done = self.phase_idx >= len(self.schedule) or not self.alive_after[-1]
-
-    @property
-    def current_words(self) -> int:
-        stored = sum(len(chunk) for chunk in self.stored)
-        return self.n + int(np.count_nonzero(self.sampled)) + 2 * stored + int(
-            np.count_nonzero(self.newly))
 
     def state_words(self) -> np.ndarray:
         return np.concatenate([self.status, np.flatnonzero(self.sampled),
@@ -410,10 +390,6 @@ class BufferedGreedyMIS:
         self.chosen = _ids(_greedy(order, edges, np.zeros(self.n, dtype=bool)))
         self._done = True
 
-    @property
-    def current_words(self) -> int:
-        return 2 * sum(len(section) for section in self.buffer)
-
     def state_words(self) -> np.ndarray:
         return _stack(self.buffer).ravel()
 
@@ -446,60 +422,42 @@ def make_algorithm(desc: str, n: int, seed: int):
     raise InvalidInputError(f"unknown algorithm {desc!r}")
 
 
-BoundaryHook = Callable[[int, int, np.ndarray], None]
-
-
-def drive(alg, stream: EdgeStream, hook: BoundaryHook | None = None) -> StreamReport:
+def drive(alg, stream: EdgeStream,
+          hook: Callable[[int, int, np.ndarray], None] | None = None) -> StreamReport:
     """Run ``alg`` over ``stream`` until done, one ``feed`` per owner section.
 
-    The stream is checked once, before the first pass.  The peak is
-    sampled after ``begin_pass``, after every section and after
-    ``end_pass``.  Within a section no runner's ``current_words``
-    decreases (blocked masks, stored edges and buffers only grow; retire
-    passes only rewrite status entries), so this is the exact peak over
-    every single edge.  ``hook(pass, owner, words)`` receives the memory
-    snapshot, an int64 array, at every section boundary.
+    The stream is checked once, before the first pass.  The runner's
+    snapshot ``alg.state_words()`` is its memory: the peak is its largest
+    length, sampled after ``begin_pass``, after every section and after
+    ``end_pass``.  The snapshot never shrinks within a section (blocked
+    masks, stored edges and buffers only grow; retire passes only rewrite
+    status entries), so this is the exact peak over every single edge.
+    ``hook(pass, owner, words)`` receives the snapshot at every section
+    boundary, with passes counted from 1.
     """
     stream.check(alg.n)
-    start = stream.passes
-    peak = 0
+    passes = peak = 0
     while not alg.done():
+        passes += 1
         alg.begin_pass()
-        peak = max(peak, alg.current_words)
-        for owner, section in enumerate(stream.iter_sections()):
+        peak = max(peak, len(alg.state_words()))
+        for owner, section in enumerate(stream.sections_list):
             alg.feed(section)
-            peak = max(peak, alg.current_words)
+            words = alg.state_words()
+            peak = max(peak, len(words))
             if hook is not None:
-                words = alg.state_words()
-                if len(words) != alg.current_words:
-                    raise MisforgeError(
-                        f"{alg.name}: snapshot has {len(words)} words, "
-                        f"accounting says {alg.current_words}"
-                    )
-                hook(stream.passes - start, owner, words)
+                hook(passes, owner, words)
         alg.end_pass()
-        peak = max(peak, alg.current_words)
+        peak = max(peak, len(alg.state_words()))
     return StreamReport(
         algorithm=alg.name,
         n=alg.n,
-        passes=stream.passes - start,
+        passes=passes,
         peak_words=peak,
         output=alg.result(),
         seed=alg.seed,
         extras=alg.extras(),
     )
-
-
-def run_luby(stream: EdgeStream, n: int, seed: int) -> StreamReport:
-    return drive(LubyMIS(n, seed), stream)
-
-
-def run_residual_sparsity(stream: EdgeStream, n: int, schedule: list, seed: int) -> StreamReport:
-    return drive(ResidualSparsityMIS(n, schedule, seed), stream)
-
-
-def run_greedy_buffered(stream: EdgeStream, n: int, seed: int) -> StreamReport:
-    return drive(BufferedGreedyMIS(n, seed), stream)
 
 
 # -- protocol simulation ------------------------------------------------------
@@ -579,7 +537,7 @@ def _bench_graph(entry: dict, budget=None) -> tuple[int, int | str, EdgeStream, 
     seed = _spec_value(entry, "graph_seed", int, 0)
     if kind == "gnp":
         g = gnp_graph(_spec_value(entry, "n", int), _spec_value(entry, "p", (int, float)), seed)
-        return g.n, "", EdgeStream.from_edges(sorted(g.edges)), None
+        return g.n, "", EdgeStream.from_edges(g.edges), None
     if kind == "hard":
         levels = _spec_value(entry, "toy", list, item=list)
         if not all(len(x) == 2 and all(isinstance(y, int) for y in x) for x in levels):

@@ -21,9 +21,6 @@ from misforge import (
     gnp_graph,
     is_mis,
     make_algorithm,
-    run_greedy_buffered,
-    run_luby,
-    run_residual_sparsity,
     sample_base_instance,
     sample_instance,
     simulate_protocol_from_stream,
@@ -33,7 +30,7 @@ from misforge import (
 )
 from misforge.cli import main as cli_main
 from misforge.dupgraph import LayeredGraph, make_edge
-from misforge.streaming import drive
+from misforge.streaming import LubyMIS, ResidualSparsityMIS, drive
 
 from dup_oracle import collection
 from instance_oracle import replace_edges
@@ -265,7 +262,7 @@ def test_criterion_07_streaming_validity():
     for idx, g in enumerate(graphs):
         for order in ("file", "random"):
             for desc in ("luby", "greedy", "residual:b=4"):
-                stream = EdgeStream.from_edges(sorted(g.edges), order=order, seed=idx)
+                stream = EdgeStream.from_edges(g.edges, order=order, seed=idx)
                 rep = drive(make_algorithm(desc, g.n, idx + 1), stream)
                 assert is_mis(flat_view(g.n, g.edges), rep.output), (idx, order, desc)
                 runs += 1
@@ -287,7 +284,7 @@ def test_criterion_08_luby_round_bound():
     worst = 0
     for seed in range(100):
         g = gnp_graph(256, 0.1, seed)
-        rep = run_luby(EdgeStream.from_edges(sorted(g.edges)), g.n, seed=seed + 7)
+        rep = drive(LubyMIS(g.n, seed + 7), EdgeStream.from_edges(g.edges))
         assert is_mis(flat_view(g.n, g.edges), rep.output)
         worst = max(worst, rep.extras["rounds"])
         assert rep.extras["rounds"] <= 32, (seed, rep.extras["rounds"])
@@ -301,8 +298,8 @@ def test_criterion_09_residual_sparsity():
     worst = 0
     for seed in range(100):
         g = gnp_graph(n, 0.3, seed)
-        stream = EdgeStream.from_edges(sorted(g.edges))
-        rep = run_residual_sparsity(stream, n, [n // b, "all"], seed=seed + 1)
+        stream = EdgeStream.from_edges(g.edges)
+        rep = drive(ResidualSparsityMIS(n, [n // b, "all"], seed + 1), stream)
         assert is_mis(flat_view(n, g.edges), rep.output)
         alive = rep.extras["alive_after_phase"][0]
         deg = {v: 0 for v in alive}

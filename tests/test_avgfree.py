@@ -14,7 +14,7 @@ from misforge import (
     build_avg_free_set,
     verify_avg_free,
 )
-from misforge.avgfree import well_formed
+from misforge.avgfree import MAX_D, well_formed
 
 from avgfree_oracle import dfs_avg_free, dict_build_members
 from conftest import brute_avg_free
@@ -68,6 +68,13 @@ def test_budget_exceeded():
 def test_invalid_dimensions():
     for ell, d in [(0, 1), (1, 0), (-2, 3)]:
         with pytest.raises(InvalidInputError):
+            build_avg_free_set(ell, d)
+
+
+def test_d_is_bounded_before_the_grid():
+    assert build_avg_free_set(1, MAX_D).members == ((1,) * MAX_D,)
+    for ell, d in [(1, MAX_D + 1), (2, 70), (1, 10**30), (2, 10**30)]:
+        with pytest.raises(InvalidInputError, match="d <="):
             build_avg_free_set(ell, d)
 
 

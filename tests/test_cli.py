@@ -186,3 +186,63 @@ def test_bad_bench_spec_fields(tmp_path, capsys, spec, field):
     path.write_text(json.dumps(spec))
     assert main(["bench", "--spec", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     assert field in capsys.readouterr().err
+
+
+# 3^20 = 3 486 784 401 vertices per layer: two layers of that size have
+# edge keys u * n + v past 2^63
+HUGE_LAYER = 3**20
+
+
+@pytest.mark.parametrize("argv", [["--ell", "1", "--d", "20", "--k", "1"],
+                                  ["--n", "10000000000", "--k", "15"]])
+def test_gen_dup_refuses_ids_past_int64_keys(tmp_path, capsys, argv):
+    out = tmp_path / "huge.dupg"
+    assert main(["gen-dup", *argv, "--out", str(out)]) == 2
+    assert "overflow int64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_header_past_int64_keys(tmp_path, capsys):
+    # the one path of (ell, d) = (1, 20), k = 1: all coordinates 2, then all 3
+    first, last = (HUGE_LAYER - 1) // 2, HUGE_LAYER - 1
+    path = tmp_path / "huge.dupg"
+    path.write_text(f"dupg 1 2 {HUGE_LAYER} 1 1 1 20\nupc 1 1 {first} {last}\npad 0\npad 0\n")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "overflow int64" in capsys.readouterr().err
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_gen_instance_refuses_ids_past_int64_keys(tmp_path):
+    """Level 2's collection graph fits, but the instance on top of it has
+    2 * 4 * 5^12 * 6 vertices; assembly refuses before building its join."""
+    out = tmp_path / "huge.misr"
+    proc = subprocess.run([sys.executable, "-m", "misforge.cli", "gen-instance", "--r", "2",
+                           "--n0", "4", "--toy", "1,1;1,12", "--seed", "0", "--out", str(out)],
+                          capture_output=True, timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert b"overflow int64" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("d", [70, 10**30])
+def test_check_instance_refuses_a_huge_d_at_once(tmp_path, ell, d):
+    """A level's d is bounded before ell^d or the grid is built, so the
+    reader fails typed, in a 1 GB address space and 30 s."""
+    out = tmp_path / "t.misr"
+    main(["gen-instance", "--r", "1", "--n0", "4", "--toy", "1,1",
+          "--seed", "9", "--out", str(out)])
+    head, meta, body = out.read_text().split("\n", 2)
+    meta = json.loads(meta)
+    meta["levels"][0].update(ell=ell, d=d)
+    bad = tmp_path / "bad.misr"
+    bad.write_text("\n".join([head, json.dumps(meta), body]))
+    proc = subprocess.run([sys.executable, "-m", "misforge.cli", "check-instance", "--in", str(bad)],
+                          capture_output=True, timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert b"1 <= d <= 63" in proc.stderr

@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from misforge import (
     Budget,
     BudgetExceededError,
     FormatError,
+    InvalidInputError,
     TooSmallError,
     build_dup,
     build_dup_from_size,
@@ -28,7 +30,7 @@ from misforge import (
     verify_dup,
     write_dup,
 )
-from misforge.dupgraph import DupGraph, DupParams, LayeredGraph, make_edge
+from misforge.dupgraph import DupGraph, DupParams, LayeredGraph, check_key_range, make_edge
 
 
 def with_edges(dup, edges):
@@ -127,6 +129,18 @@ def test_padding_below_the_construction_fails():
     dup = build_dup(2, 1, 1)     # layers of 6
     small = replace(dup, layer_size=4, params=replace(dup.params, padded=(-2, -2)), edges=None)
     assert not verify_dup(small).checks["padding"]
+
+
+def test_ids_past_int64_keys_are_refused():
+    limit = math.isqrt(1 << 63)       # limit^2 <= 2^63 < (limit + 1)^2
+    check_key_range(limit)
+    with pytest.raises(InvalidInputError, match="overflow int64"):
+        check_key_range(limit + 1)
+    dup = build_dup(1, 1, 1)
+    for make in (lambda: build_dup(1, 20, 1),          # 2 layers of 3^20
+                 lambda: pad_dup(dup, limit // 2 + 1)):
+        with pytest.raises(InvalidInputError, match="overflow int64"):
+            make()
 
 
 def test_build_from_size_pads_to_equal_layers():

@@ -46,6 +46,13 @@ def empty_family(dup, w):
     )
 
 
+def test_embed_refuses_ids_past_int64_keys():
+    # 2 layers of 3 * 2^31 vertices: keys u * n + v pass 2^63, and no
+    # routing table of that width is built
+    with pytest.raises(InvalidInputError, match="overflow int64"):
+        embed(empty_family(build_dup(1, 1, 1), 1 << 31), build_dup(1, 1, 1))
+
+
 def random_family(dup, w, rng):
     g = dup.graph
     p = dup.params

@@ -15,15 +15,12 @@ from misforge import (
     is_mis,
     make_algorithm,
     parse_schedule,
-    run_greedy_buffered,
-    run_luby,
-    run_residual_sparsity,
     sample_instance,
     simulate_protocol_from_stream,
     tradeoff_bench,
 )
 from misforge import streaming
-from misforge.streaming import BufferedGreedyMIS, LubyMIS, drive
+from misforge.streaming import BufferedGreedyMIS, LubyMIS, ResidualSparsityMIS, drive
 
 from stream_oracle import stream_edges
 
@@ -40,7 +37,7 @@ def toy(seed=7, levels=((1, 1),), n_0=4):
 
 
 def test_luby_empty_graph():
-    rep = run_luby(EdgeStream.from_edges([]), 6, seed=0)
+    rep = drive(LubyMIS(6, 0), EdgeStream.from_edges([]))
     assert rep.output == frozenset(range(6))
     assert rep.passes == 2
     assert rep.extras["rounds"] == 1
@@ -48,7 +45,7 @@ def test_luby_empty_graph():
 
 def test_luby_triangle():
     edges = [(0, 1), (1, 2), (0, 2)]
-    rep = run_luby(EdgeStream.from_edges(edges), 3, seed=1)
+    rep = drive(LubyMIS(3, 1), EdgeStream.from_edges(edges))
     assert len(rep.output) == 1
     assert is_mis((set(range(3)), set(edges)), rep.output)
 
@@ -57,7 +54,7 @@ def test_luby_triangle():
 @settings(deadline=None, max_examples=30)
 def test_luby_round_bound_small(seed):
     g = gnp_graph(64, 0.15, seed)
-    rep = run_luby(EdgeStream.from_edges(sorted(g.edges)), g.n, seed=seed + 1)
+    rep = drive(LubyMIS(g.n, seed + 1), EdgeStream.from_edges(g.edges))
     assert is_mis(flat_view(g), rep.output)
     assert rep.extras["rounds"] <= 4 * math.log2(g.n)
     assert rep.passes == 2 * rep.extras["rounds"]
@@ -76,9 +73,9 @@ def test_parse_schedule():
 
 def test_single_phase_equals_buffered_greedy():
     g = gnp_graph(48, 0.2, 3)
-    stream = EdgeStream.from_edges(sorted(g.edges))
-    rep = run_residual_sparsity(stream, g.n, [g.n], seed=9)
-    greedy = run_greedy_buffered(EdgeStream.from_edges(sorted(g.edges)), g.n, seed=9)
+    stream = EdgeStream.from_edges(g.edges)
+    rep = drive(ResidualSparsityMIS(g.n, [g.n], 9), stream)
+    greedy = drive(BufferedGreedyMIS(g.n, 9), EdgeStream.from_edges(g.edges))
     assert is_mis(flat_view(g), rep.output)
     assert is_mis(flat_view(g), greedy.output)
     # one storage pass over everything, like the buffered baseline
@@ -87,8 +84,8 @@ def test_single_phase_equals_buffered_greedy():
 
 def test_residual_validity_and_degree_drop():
     g = gnp_graph(256, 0.3, 5)
-    stream = EdgeStream.from_edges(sorted(g.edges))
-    rep = run_residual_sparsity(stream, g.n, [g.n // 8, "all"], seed=2)
+    stream = EdgeStream.from_edges(g.edges)
+    rep = drive(ResidualSparsityMIS(g.n, [g.n // 8, "all"], 2), stream)
     assert is_mis(flat_view(g), rep.output)
     alive = rep.extras["alive_after_phase"][0]
     deg = {v: 0 for v in alive}
@@ -102,8 +99,8 @@ def test_residual_validity_and_degree_drop():
 
 def test_residual_pass_structure():
     g = gnp_graph(64, 0.25, 1)
-    stream = EdgeStream.from_edges(sorted(g.edges))
-    rep = run_residual_sparsity(stream, g.n, [16, "all"], seed=4)
+    stream = EdgeStream.from_edges(g.edges)
+    rep = drive(ResidualSparsityMIS(g.n, [16, "all"], 4), stream)
     # two passes for the sampled phase, one for the final sweep
     assert rep.passes <= 3
     assert is_mis(flat_view(g), rep.output)
@@ -114,7 +111,7 @@ def test_residual_pass_structure():
 
 def test_buffered_greedy_accounting():
     g = gnp_graph(32, 0.3, 8)
-    rep = run_greedy_buffered(EdgeStream.from_edges(sorted(g.edges)), g.n, seed=0)
+    rep = drive(BufferedGreedyMIS(g.n, 0), EdgeStream.from_edges(g.edges))
     assert rep.passes == 1
     assert rep.peak_words == 2 * len(g.edges)
     assert is_mis(flat_view(g), rep.output)
@@ -148,9 +145,24 @@ def test_stream_orders_cover_instance():
             (inst.graph.flat_id(u), inst.graph.flat_id(v))
             for u, v in inst.graph.edges
         )
-        rep = run_luby(stream, n, seed=11)
+        rep = drive(LubyMIS(n, 11), stream)
         flat = (set(range(n)), set(stream_edges(EdgeStream.from_instance(inst))))
         assert is_mis(flat, rep.output)
+
+
+@pytest.mark.parametrize("order", ["file", "random"])
+def test_one_stream_driven_repeatedly(order):
+    """drive counts passes itself, so a stream replayed by run after run
+    (as tradeoff_bench does) gives each run the report of a fresh stream."""
+    g = gnp_graph(96, 0.15, 4)
+
+    def stream():
+        return EdgeStream.from_edges(g.edges, order=order, seed=4)
+
+    shared = stream()
+    for desc in ("luby", "greedy", "residual:b=4", "residual:s=40,12,all") * 2:
+        fresh = drive(make_algorithm(desc, g.n, 3), stream())
+        assert drive(make_algorithm(desc, g.n, 3), shared) == fresh, desc
 
 
 # -- protocol simulation ------------------------------------------------------
@@ -245,8 +257,8 @@ def test_bench_storage_monotone_in_b():
         p1, fin = [], []
         for seed in range(9):
             g = gnp_graph(n, 0.3, seed)
-            stream = EdgeStream.from_edges(sorted(g.edges))
-            rep = run_residual_sparsity(stream, n, [n // b, "all"], seed=seed + 1)
+            stream = EdgeStream.from_edges(g.edges)
+            rep = drive(ResidualSparsityMIS(n, [n // b, "all"], seed + 1), stream)
             peaks = rep.extras["phase_peaks"]
             p1.append(peaks[0])
             fin.append(peaks[-1])
