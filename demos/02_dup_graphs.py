@@ -11,9 +11,9 @@ point -- each collection is a "unique paths" gadget.
 import io
 
 from misforge import (
+    TooSmallError,
     build_dup,
     build_dup_from_size,
-    derive_dup_dimensions,
     path_counts,
     read_dup,
     verify_dup,
@@ -30,13 +30,13 @@ def show(dup) -> None:
 
 
 def sizing_table() -> None:
-    print("vertex budget -> chosen dimensions (k=1):")
-    for n in (6, 24, 72, 200, 1000, 4096):
+    print("vertex budget -> chosen dimensions (k=1), ranked by (q >= 2, p >= 2, p*q):")
+    for n in (5, 6, 24, 72, 200, 1000, 4096):
         try:
-            dims = derive_dup_dimensions(n, 1)
-            print(f"  n={n:>5}: ell={dims.ell} d={dims.d}, "
-                  f"uses {dims.n_effective} vertices")
-        except Exception as exc:
+            P = build_dup_from_size(n, 1).params
+            print(f"  n={n:>5}: ell={P.ell} d={P.d} p={P.p} q={P.q}, "
+                  f"uses {2 * P.base_layer_size} vertices")
+        except TooSmallError as exc:
             print(f"  n={n:>5}: {exc}")
 
 

@@ -5,15 +5,22 @@ A depth-r instance places 2^r copies of a depth-(r-1) instance side by side
 subinstances, and lets a hidden index t pick which copy carries the live
 predicate bits.  The level sizes follow n_{j-1} = (n_j / 2)^((2^(j-1)-1)/(2^j-1))
 rounded down, so a top size of n = 2 * y^(2^r - 1) with y a power of two
-keeps every division exact.
+keeps every division exact.  Each level then builds the collection graph
+that hides the most on its b_j * 2^j vertices; plan_levels refuses a level
+where that graph still has a single collection (q = 1), since t then hides
+nothing.
 """
 
 import io
 
 from misforge import (
+    BudgetExceededError,
+    TooSmallError,
     ToyParams,
+    build_dup_from_size,
     check_properties,
     compute_parameters,
+    plan_levels,
     read_instance,
     sample_instance,
     write_instance,
@@ -31,6 +38,19 @@ def cascade_table(r: int, y: int, n_0: int = 4) -> None:
     inner_n = table.levels[-2].n if r > 1 else n_0
     assert 2 * top.b * inner_n == n
     print(f"  split exact: 2 * {top.b} * {inner_n} == {n}")
+    # what gets built: at each level the best graph on its b_j * 2^j vertices
+    for lv in table.levels:
+        try:
+            P = build_dup_from_size(lv.b * 2**lv.j, lv.k).params
+            built = f"ell={P.ell} d={P.d} p={P.p} q={P.q}"
+        except TooSmallError as exc:
+            built = f"nothing: {exc}"
+        print(f"  level {lv.j} declares p={lv.p} q={lv.q}, builds {built}")
+    try:
+        plan_levels(table)
+        print("  plan_levels: planned")
+    except (TooSmallError, BudgetExceededError) as exc:
+        print(f"  plan_levels refuses: {exc}")
 
 
 def toy_walkthrough() -> None:
@@ -60,7 +80,7 @@ def toy_walkthrough() -> None:
 
 
 if __name__ == "__main__":
-    for r, y in ((1, 16), (2, 16), (3, 16), (2, 32)):
+    for r, y in ((1, 16), (1, 2048), (2, 16), (3, 16), (2, 32)):
         cascade_table(r, y)
 
     toy_walkthrough()

@@ -3,6 +3,8 @@
 Every exhaustive search in the package (vector enumeration, multiset
 search, layered path counting) is capped; for DUP verification the path
 cap counts the rows of the path-count frontier, not individual paths.
+The vector cap also bounds the path vertices a DUP build makes and, when
+levels are planned, the edges the instance may hold.
 Hitting a cap raises BudgetExceededError rather than silently
 truncating, so a passing check always means the whole space was covered.  The MISFORGE_BUDGET
 environment variable, when set to a positive integer, replaces the
@@ -21,7 +23,7 @@ ENV_VAR = "MISFORGE_BUDGET"
 
 @dataclass(frozen=True)
 class Budget:
-    max_vectors: int = DEFAULT_CAP    # candidate vectors enumerated by a build
+    max_vectors: int = DEFAULT_CAP    # vectors, DUP path vertices, planned instance edges
     max_nodes: int = DEFAULT_CAP      # search-tree nodes in multiset verification
     max_paths: int = DEFAULT_CAP      # path-count frontier rows per DUP verification
 

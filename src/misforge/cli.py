@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .budgets import default_budget
 from .dupgraph import build_dup, build_dup_from_size, read_dup, verify_dup, write_dup
@@ -25,11 +25,14 @@ from .errors import (
 )
 from .hardness import (
     ToyParams,
+    build_instance,
     check_properties,
     compute_parameters,
+    plan_levels,
     read_instance,
     sample_base_instance,
     sample_instance,
+    sample_tree,
     write_instance,
 )
 from .oracle import enumerate_all_mis, eval_predicate, extract_predicate_from_mis
@@ -43,15 +46,10 @@ def _output(path: str):
 
 def cmd_gen_dup(args) -> int:
     budget = default_budget()
-    explicit = args.ell is not None or args.d is not None
-    if explicit:
-        if args.ell is None or args.d is None or args.n is not None:
-            raise InvalidInputError("give either --ell with --d, or --n, not a mix")
-        dup = build_dup(args.ell, args.d, args.k, budget)
-    else:
-        if args.n is None:
-            raise InvalidInputError("give either --ell with --d, or --n")
-        dup = build_dup_from_size(args.n, args.k, budget)
+    if not (args.ell is None) == (args.d is None) == (args.n is not None):
+        raise InvalidInputError("give either --ell with --d, or --n, not a mix")
+    dup = (build_dup(args.ell, args.d, args.k, budget) if args.n is None
+           else build_dup_from_size(args.n, args.k, budget))
     with _output(args.out) as out:
         write_dup(dup, out)
     p = dup.params
@@ -113,15 +111,13 @@ def cmd_gen_instance(args) -> int:
         inst = sample_instance(args.r, params, args.seed, budget)
     else:
         table = compute_parameters(args.r, args.n, args.n0)
-        extra = {
-            "mode": "formula",
-            "n": args.n,
-            "declared": [
-                {"j": lp.j, "n": lp.n, "b": lp.b, "p": lp.p, "q": lp.q, "k": lp.k}
-                for lp in table.levels
-            ],
-        }
-        inst = sample_instance(args.r, table, args.seed, budget)
+        plans = plan_levels(table, budget)
+        for lp, plan in zip(table.levels, plans):
+            dp = plan.dup.params
+            print(f"level {lp.j}: declared p={lp.p} q={lp.q}; built ell={dp.ell} d={dp.d} "
+                  f"p={dp.p} q={dp.q}", file=sys.stderr)
+        extra = {"mode": "formula", "n": args.n, "declared": list(map(asdict, table.levels))}
+        inst = build_instance(plans, args.n0, sample_tree(plans, args.n0, args.seed))
     with _output(args.out) as out:
         write_instance(inst, out, seed=args.seed, mode=extra.pop("mode"), extra=extra)
     print(
@@ -199,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ell", type=int)
     g.add_argument("--d", type=int)
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--n", type=int, help="derive dimensions from a vertex target")
+    g.add_argument("--n", type=int, help="best dimensions on at most N vertices")
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_gen_dup)
 

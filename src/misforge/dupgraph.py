@@ -33,8 +33,8 @@ table that routes a graph along a collection path.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Set as AbstractSet
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO, Iterator
@@ -211,35 +211,6 @@ class DupGraph:
         return LayeredGraph(layers, size, EdgeView((self.edges,), size, layers * size))
 
 
-@dataclass(frozen=True)
-class DupDimensions:
-    d: int
-    ell: int
-    n_effective: int
-
-
-def derive_dup_dimensions(n: int, k: int) -> DupDimensions:
-    """Pick (d, ell) for a k+1 layer construction of at most n vertices.
-
-    d tracks sqrt(log2(n / (k+1))) rounded to the nearest integer (at
-    least 1), then ell is the largest value with
-    (k+1) * ((k+2)*ell)^d <= n.
-    """
-    if k < 1:
-        raise InvalidInputError(f"need k >= 1, got {k}")
-    if n < (k + 1) * (k + 2):
-        raise TooSmallError(
-            f"n={n} cannot hold k+1 layers of side k+2 (needs {(k + 1) * (k + 2)})"
-        )
-    d = max(1, int(math.sqrt(math.log2(n / (k + 1))) + 0.5))
-    side_max = integer_nth_root(n // (k + 1), d)
-    ell = side_max // (k + 2)
-    if ell < 1:
-        raise TooSmallError(f"n={n} too small for d={d} with k={k}")
-    n_effective = (k + 1) * ((k + 2) * ell) ** d
-    return DupDimensions(d=d, ell=ell, n_effective=n_effective)
-
-
 def build_dup(ell: int, d: int, k: int, budget: Budget | None = None) -> DupGraph:
     """Construct the q = ell^d collections of p vertex-disjoint paths."""
     if k < 1:
@@ -276,10 +247,31 @@ def pad_dup(dup: DupGraph, layer_size: int) -> DupGraph:
 
 
 def build_dup_from_size(n: int, k: int, budget: Budget | None = None) -> DupGraph:
-    """Largest construction fitting n vertices, layers padded to n // (k+1)."""
-    dims = derive_dup_dimensions(n, k)
-    dup = build_dup(dims.ell, dims.d, k, budget)
-    return pad_dup(dup, n // (k + 1))
+    """The k+1 layer construction on at most n vertices that hides the most,
+    layers padded to n // (k+1): over every d with the largest ell such that
+    (k+1) * ((k+2)*ell)^d <= n, the one ranking highest by (q >= 2, p >= 2,
+    p * q), ties to the smaller d, as t picks one of q collections and the
+    direct sum runs over the p * q paths.  The largest ell suffices: with
+    equal-norm direction sets neither p >= 2 nor p * q drops as ell grows
+    (checked for d = 2, ell < 60 and d = 3, ell < 14).  Candidates over the
+    budget are skipped; BudgetExceededError if all are."""
+    if k < 1:
+        raise InvalidInputError(f"need k >= 1, got {k}")
+    if n < (k + 1) * (k + 2):
+        raise TooSmallError(f"n={n} cannot hold k+1 layers of side k+2 (needs {(k + 1) * (k + 2)})")
+    layer_size = n // (k + 1)
+    check_key_range((k + 1) * layer_size)
+    candidates = []
+    for d in range(1, MAX_D + 1):
+        ell = integer_nth_root(layer_size, d) // (k + 2)
+        if ell < 1:
+            break
+        with suppress(BudgetExceededError):
+            candidates.append(build_dup(ell, d, k, budget))
+    if not candidates:
+        raise BudgetExceededError(f"every construction on n={n} with k={k} exceeds the budget")
+    best = max(candidates, key=lambda g: (g.params.q > 1, g.params.p > 1, g.params.p * g.params.q))
+    return pad_dup(best, layer_size)
 
 
 def path_lut(dup: DupGraph, i: int, j: int, w: int) -> np.ndarray:

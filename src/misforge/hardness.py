@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -56,9 +56,11 @@ from .dupgraph import (
     path_lut,
 )
 from .errors import (
+    BudgetExceededError,
     FormatError,
     InvalidInputError,
     SizeRelationViolatedError,
+    TooSmallError,
 )
 from .numutil import integer_nth_root
 from .report import VerificationReport
@@ -154,32 +156,46 @@ class LevelPlan:
     w: int                 # inner layer width at this level
 
 
-def plan_levels(params: ParamTable | ToyParams, budget: Budget | None = None) -> list[LevelPlan]:
-    """Concrete collection graph and inner width for every level."""
-    budget = budget or default_budget()
-    _check_n0(params.n_0)
-    plans = []
-    n_prev = params.n_0
-    if isinstance(params, ToyParams):
-        for j, (ell, d) in enumerate(params.levels, start=1):
-            dup = build_dup(ell, d, 2**j - 1, budget)
-            w = n_prev // 2**j
-            plans.append(LevelPlan(j=j, dup=dup, w=w))
-            n_prev = 2 * dup.graph.layer_size * n_prev
-    else:
-        for lp in params.levels:
-            dup = build_dup_from_size(lp.b * 2**lp.j, lp.k, budget)
-            if dup.graph.layer_size != lp.b:
-                raise InvalidInputError(
-                    f"level {lp.j}: padded layer size {dup.graph.layer_size} "
-                    f"does not hit b={lp.b}"
-                )
-            w = n_prev // 2**lp.j
-            if w < 1:
-                raise SizeRelationViolatedError(level=lp.j, n=n_prev, required=2**lp.j)
-            plans.append(LevelPlan(j=lp.j, dup=dup, w=w))
-            n_prev = 2 * lp.b * n_prev
+def _plan(n_0: int, r: int, level_dup: Callable[[int, int], DupGraph],
+          budget: Budget) -> list[LevelPlan]:
+    """The plans of a depth-r instance on n_0 base vertices, with level j's
+    collection graph level_dup(j, k), k = 2^j - 1.  BudgetExceededError if
+    the instance may hold over budget.max_vectors edges: E_0 = n_0 / 2 (all
+    base slots filled), E_j = 2 p q E_{j-1} + |L|^2 with |L| = 2^j w (b - p)
+    the vertices on either side of level j's join."""
+    _check_n0(n_0)
+    plans, n_prev, edges = [], n_0, n_0 // 2
+    for j in range(1, r + 1):
+        dup = level_dup(j, 2**j - 1)
+        w = n_prev // 2**j
+        if w < 1:
+            raise SizeRelationViolatedError(level=j, n=n_prev, required=2**j)
+        b, p, q = dup.layer_size, dup.params.p, dup.params.q
+        n_prev = 2 * b * n_prev
+        check_key_range(n_prev)
+        edges = 2 * p * q * edges + (2**j * w * (b - p)) ** 2
+        if edges > budget.max_vectors:
+            raise BudgetExceededError(f"level {j} may hold {edges} edges, cap {budget.max_vectors}")
+        plans.append(LevelPlan(j=j, dup=dup, w=w))
     return plans
+
+
+def plan_levels(params: ParamTable | ToyParams, budget: Budget | None = None) -> list[LevelPlan]:
+    """Concrete collection graph and inner width for every level: toy
+    mode's (ell, d), or the build_dup_from_size choice on each level's
+    b * 2^j vertices, which must have q >= 2 for t to hide anything."""
+    budget = budget or default_budget()
+
+    def level_dup(j: int, k: int) -> DupGraph:
+        if isinstance(params, ToyParams):
+            return build_dup(*params.levels[j - 1], k, budget)
+        size = params.level(j).b * 2**j
+        dup = build_dup_from_size(size, k, budget)
+        if dup.params.q == 1:
+            raise TooSmallError(f"level {j}: every collection graph on {size} vertices has q = 1")
+        return dup
+
+    return _plan(params.n_0, params.r, level_dup, budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +293,6 @@ def _embedded_players(dup: DupGraph, w: int,
 
 def _assemble(level: int, dup: DupGraph, w: int,
               subs: tuple[tuple[Instance, ...], ...], t: int) -> Instance:
-    check_key_range(2 * dup.graph.n_vertices * w)
     # edge-disjoint collections of vertex-disjoint paths map no two edges to one
     players = _embedded_players(dup, w, subs)
     # the join L x R; every left id is below every right id, so it comes out sorted
@@ -343,9 +358,6 @@ def build_instance(plans: list[LevelPlan], n_0: int, tree: dict) -> Instance:
                 not isinstance(row, list) or len(row) != p for row in subs_node):
             raise FormatError(f"level {level} sub-tree is not {q} x {p}")
         subs = tuple(tuple(build(level - 1, cell) for cell in row) for row in subs_node)
-        if subs[0][0].graph.layer_size != plan.w:
-            raise FormatError(f"level {level}: inner width {plan.w!r} is not the level-"
-                              f"{level - 1} layer size {subs[0][0].graph.layer_size}")
         return _assemble(level, plan.dup, plan.w, subs, t)
 
     return build(len(plans), tree)
@@ -464,15 +476,10 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
 MISR_BLOCK_ROWS = 1 << 16
 
 
-def _levels_meta(inst: Instance) -> list[dict]:
-    levels, cur = [], inst
-    while cur.r >= 1:
-        dp = cur.dup.params
-        levels.append({"j": cur.r, "ell": dp.ell, "d": dp.d, "k": dp.k,
-                       "b": cur.dup.graph.layer_size, "w": cur.inner_layer_size,
-                       "p": dp.p, "q": dp.q})
-        cur = cur.subinstance(1, 1)
-    return levels[::-1]
+def _level_entry(plan: LevelPlan) -> dict:
+    dp = plan.dup.params
+    return {"j": plan.j, "ell": dp.ell, "d": dp.d, "k": dp.k, "b": plan.dup.layer_size,
+            "w": plan.w, "p": dp.p, "q": dp.q}
 
 
 def _tree_of(inst: Instance) -> dict:
@@ -499,12 +506,12 @@ def _misr_blocks(edges: np.ndarray) -> Iterator[str]:
 
 def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
                    mode: str = "toy", extra: dict | None = None) -> None:
-    base = inst
+    levels, base = [], inst
     while base.r >= 1:
+        levels.insert(0, _level_entry(LevelPlan(j=base.r, dup=base.dup, w=base.inner_layer_size)))
         base = base.subinstance(1, 1)
     meta = {"version": 1, "r": inst.r, "seed": seed, "mode": mode,
-            "n0": base.graph.layer_size * 2, "levels": _levels_meta(inst),
-            "tree": _tree_of(inst)}
+            "n0": base.graph.layer_size * 2, "levels": levels, "tree": _tree_of(inst)}
     if extra:
         meta.update(extra)
     fh.write("misr 1\n")
@@ -590,20 +597,21 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
         raise FormatError(f"bad r: {r!r}")
     if not isinstance(n0, int) or not isinstance(meta["levels"], list):
         raise FormatError(f"bad n0 {n0!r} or levels {meta['levels']!r}")
-    plans = []
-    budget = budget or default_budget()
-    if len(meta["levels"]) != r:
-        raise FormatError(f"expected {r} level entries, found {len(meta['levels'])}")
-    for lvl in meta["levels"]:
+    budget, levels = budget or default_budget(), meta["levels"]
+    if len(levels) != r:
+        raise FormatError(f"expected {r} level entries, found {len(levels)}")
+
+    def stored_dup(j: int, k: int) -> DupGraph:
+        lvl = levels[j - 1]
         try:
-            dup = pad_dup(build_dup(lvl["ell"], lvl["d"], lvl["k"], budget), lvl["b"])
-            # build_dup bounds k, so no j of 64 or more can match it
-            k_ok = 0 <= lvl["j"] < 64 and lvl["k"] == 2 ** lvl["j"] - 1
+            return pad_dup(build_dup(lvl["ell"], lvl["d"], k, budget), lvl["b"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"bad level entry {lvl!r}") from exc
-        if not k_ok:
-            raise FormatError(f"level {lvl['j']} must use k = 2^j - 1")
-        plans.append(LevelPlan(j=lvl["j"], dup=dup, w=lvl["w"]))
+
+    plans = _plan(n0, r, stored_dup, budget)
+    built = [_level_entry(plan) for plan in plans]
+    if levels != built:
+        raise FormatError(f"level entries {levels!r} are not the levels they build, {built!r}")
     inst = build_instance(plans, n0, meta["tree"])
     if _written_sections(text, body, last + 1, inst.player_edges):
         return ReadInstance(instance=inst, meta=meta, stored_players=inst.player_edges)

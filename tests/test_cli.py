@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -87,6 +88,16 @@ def test_gen_instance_formula_too_small(tmp_path):
     rc = main(["gen-instance", "--r", "2", "--n", "100", "--n0", "4",
                "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n", [64, 96, 256, 1024, 4096])
+def test_gen_instance_formula_r1_checks(tmp_path, capsys, n):
+    out = tmp_path / "f.misr"
+    assert main(["gen-instance", "--r", "1", "--n0", "4", "--n", str(n),
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert re.search(r"level 1: declared p=\d+ q=\d+; built ell=\d+ d=\d+ p=\d+ q=[1-9]\d*\n",
+                     capsys.readouterr().err)
+    assert main(["check-instance", "--in", str(out)]) == 0
 
 
 def test_gen_instance_base(tmp_path, capsys):
@@ -217,9 +228,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _edited_toy_misr(tmp_path, toy, level, **fields):
+    """A toy misr file whose level entry number `level` (1-based) has fields replaced."""
+    out = tmp_path / "t.misr"
+    main(["gen-instance", "--r", str(toy.count(";") + 1), "--n0", "4", "--toy", toy,
+          "--seed", "9", "--out", str(out)])
+    head, meta, body = out.read_text().split("\n", 2)
+    meta = json.loads(meta)
+    meta["levels"][level - 1].update(fields)
+    bad = tmp_path / "bad.misr"
+    bad.write_text("\n".join([head, json.dumps(meta), body]))
+    return bad
+
+
 def test_gen_instance_refuses_ids_past_int64_keys(tmp_path):
     """Level 2's collection graph fits, but the instance on top of it has
-    2 * 4 * 5^12 * 6 vertices; assembly refuses before building its join."""
+    2 * 4 * 5^12 * 6 vertices; planning refuses before any join is built."""
     out = tmp_path / "huge.misr"
     proc = subprocess.run([sys.executable, "-m", "misforge.cli", "gen-instance", "--r", "2",
                            "--n0", "4", "--toy", "1,1;1,12", "--seed", "0", "--out", str(out)],
@@ -234,15 +258,44 @@ def test_gen_instance_refuses_ids_past_int64_keys(tmp_path):
 def test_check_instance_refuses_a_huge_d_at_once(tmp_path, ell, d):
     """A level's d is bounded before ell^d or the grid is built, so the
     reader fails typed, in a 1 GB address space and 30 s."""
-    out = tmp_path / "t.misr"
-    main(["gen-instance", "--r", "1", "--n0", "4", "--toy", "1,1",
-          "--seed", "9", "--out", str(out)])
-    head, meta, body = out.read_text().split("\n", 2)
-    meta = json.loads(meta)
-    meta["levels"][0].update(ell=ell, d=d)
-    bad = tmp_path / "bad.misr"
-    bad.write_text("\n".join([head, json.dumps(meta), body]))
+    bad = _edited_toy_misr(tmp_path, "1,1", 1, ell=ell, d=d)
     proc = subprocess.run([sys.executable, "-m", "misforge.cli", "check-instance", "--in", str(bad)],
                           capture_output=True, timeout=30, preexec_fn=_limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert b"1 <= d <= 63" in proc.stderr
+
+
+@pytest.mark.parametrize("n, code", [(27648, 2), (65536, 2), (221184, 3)])
+def test_gen_instance_formula_refuses_at_plan_time(tmp_path, n, code):
+    """At r=2, n = 27648 and 65536 leave level 1 a budget of 6 and 8
+    vertices, where every collection graph has q = 1; n = 221184 plans q >= 2
+    at both levels, but the instance may hold about 1.2e10 edges."""
+    out = tmp_path / "f.misr"
+    proc = subprocess.run([sys.executable, "-m", "misforge.cli", "gen-instance", "--r", "2",
+                           "--n0", "4", "--n", str(n), "--seed", "1", "--out", str(out)],
+                          capture_output=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == code, proc.stderr
+    assert (b"q = 1" if code == 2 else b"may hold 12188424384 edges") in proc.stderr
+    assert not out.exists()
+
+
+def test_check_instance_refuses_an_oversized_b(tmp_path):
+    """A level's b of 10^7 would make a join of 1.6e15 edges: refused when
+    the levels are planned, in a 1 GB address space."""
+    bad = _edited_toy_misr(tmp_path, "2,1", 1, b=10**7)
+    proc = subprocess.run([sys.executable, "-m", "misforge.cli", "check-instance",
+                           "--in", str(bad)],
+                          capture_output=True, timeout=30, preexec_fn=_limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert b"budget exceeded" in proc.stderr
+
+
+@pytest.mark.parametrize("toy, level, fields", [
+    ("2,1", 1, {"p": 14, "q": 14}),               # overstates what the level builds
+    ("1,1;1,1", 2, {"j": 1, "k": 1}),             # j is not the entry's position
+])
+def test_check_instance_refuses_level_entries_unlike_the_build(tmp_path, capsys, toy, level,
+                                                               fields):
+    bad = _edited_toy_misr(tmp_path, toy, level, **fields)
+    assert main(["check-instance", "--in", str(bad)]) == 2
+    assert "are not the levels they build" in capsys.readouterr().err

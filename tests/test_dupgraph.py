@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dup_oracle
+import size_oracle
 from dup_oracle import (
     collection,
     decode_index,
@@ -23,7 +24,6 @@ from misforge import (
     TooSmallError,
     build_dup,
     build_dup_from_size,
-    derive_dup_dimensions,
     pad_dup,
     path_counts,
     read_dup,
@@ -49,29 +49,41 @@ def host(paths, edges, layer_size):
     return with_edges(dup, edges)
 
 
-# -- dimension derivation -----------------------------------------------------
+# -- sizing -------------------------------------------------------------------
 
 
-def test_derive_examples():
-    dims = derive_dup_dimensions(72, 1)
-    assert (dims.d, dims.ell, dims.n_effective) == (2, 2, 72)
-    dims = derive_dup_dimensions(6, 1)
-    assert (dims.d, dims.ell, dims.n_effective) == (1, 1, 6)
+def test_build_from_size_examples():
+    for n, dims in ((72, (2, 2)), (6, (1, 1))):
+        p = build_dup_from_size(n, 1).params
+        assert (p.d, p.ell, 2 * p.base_layer_size) == (*dims, n)
     with pytest.raises(TooSmallError):
-        derive_dup_dimensions(5, 1)
+        build_dup_from_size(5, 1)
 
 
 @given(n=st.integers(6, 3000), k=st.integers(1, 3))
 @settings(deadline=None, max_examples=80)
-def test_derive_fits(n, k):
+def test_build_from_size_fits(n, k):
     try:
-        dims = derive_dup_dimensions(n, k)
+        dup = build_dup_from_size(n, k)
     except TooSmallError:
         return
-    side = (k + 2) * dims.ell
-    assert (k + 1) * side**dims.d == dims.n_effective <= n
+    p = dup.params
+    assert (k + 1) * p.base_layer_size <= n
+    assert dup.layer_size == n // (k + 1) and dup.graph.num_layers == k + 1
     # ell is maximal for this d
-    assert (k + 1) * ((k + 2) * (dims.ell + 1)) ** dims.d > n
+    assert (k + 1) * ((k + 2) * (p.ell + 1)) ** p.d > n
+
+
+@given(n=st.integers(1, 4000), k=st.integers(1, 3))
+@settings(deadline=None, max_examples=80)
+def test_build_from_size_matches_oracle(n, k):
+    best = size_oracle.best_dimensions(n, k)
+    if best is None:
+        with pytest.raises(TooSmallError):
+            build_dup_from_size(n, k)
+        return
+    p = build_dup_from_size(n, k).params
+    assert (p.ell, p.d) == best
 
 
 # -- construction -------------------------------------------------------------

@@ -11,6 +11,7 @@ from misforge import (
     FormatError,
     InvalidInputError,
     SizeRelationViolatedError,
+    TooSmallError,
     ToyParams,
     build_instance,
     check_properties,
@@ -105,10 +106,19 @@ def test_plan_levels_formula_small():
 
 
 def test_plan_levels_formula_infeasible_layer():
-    # b_1 = 8 leaves no room for even the smallest collection graph
-    table = compute_parameters(1, 64, 4)
-    with pytest.raises(InvalidInputError):
-        plan_levels(table)
+    # b_1 = 2 is below the smallest layer, 3; b_1 = 8 fits (ell, d) = (2, 1)
+    with pytest.raises(TooSmallError):
+        plan_levels(compute_parameters(1, 16, 4))
+    assert plan_levels(compute_parameters(1, 64, 4))[0].dup.params.q == 2
+
+
+@pytest.mark.parametrize("n, plan", [(64, (2, 1, 1, 2)), (96, (4, 1, 1, 4)),
+                                     (256, (10, 1, 1, 10)), (1024, (3, 2, 2, 9)),
+                                     (4096, (7, 2, 3, 49))])
+def test_plan_levels_formula_r1(n, plan):
+    (level,) = plan_levels(compute_parameters(1, n, 4))
+    p = level.dup.params
+    assert (p.ell, p.d, p.p, p.q) == plan
 
 
 # -- base instances -----------------------------------------------------------
