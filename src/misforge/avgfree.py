@@ -242,12 +242,3 @@ def verify_avg_free(
         if np.any(hits != 1):
             return False
     return True
-
-
-if __name__ == "__main__":
-    for ell, d in [(2, 2), (3, 2), (1, 3), (8, 4)]:
-        s = build_avg_free_set(ell, d)
-        print(
-            f"ell={ell} d={d}: |A|={s.size} norm_sq={s.norm_sq} "
-            f"avg-free(t<=5)={verify_avg_free(s, 5)}"
-        )

@@ -2,7 +2,7 @@
 
 Every exhaustive search in the package (vector enumeration, multiset
 search, layered path counting) is capped; for DUP verification the path
-cap counts the rows of the path-count frontier, not individual paths.
+cap bounds the path-count frontier rows and, apart, the count table's entries.
 The vector cap also bounds the path vertices a DUP build makes and, when
 levels are planned, the edges the instance may hold.
 Hitting a cap raises BudgetExceededError rather than silently
@@ -25,7 +25,7 @@ ENV_VAR = "MISFORGE_BUDGET"
 class Budget:
     max_vectors: int = DEFAULT_CAP    # vectors, DUP path vertices, planned instance edges
     max_nodes: int = DEFAULT_CAP      # search-tree nodes in multiset verification
-    max_paths: int = DEFAULT_CAP      # path-count frontier rows per DUP verification
+    max_paths: int = DEFAULT_CAP      # frontier rows, and table entries, per DUP verification
 
 
 def default_budget() -> Budget:

@@ -8,6 +8,7 @@ The MISFORGE_BUDGET environment variable overrides the default caps.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -178,8 +179,10 @@ def cmd_bench(args) -> int:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad bench spec: {exc}") from exc
+    table = io.StringIO()       # written only once every row is in
+    rows = tradeoff_bench(spec, table, budget)
     with _output(args.out) as out:
-        rows = tradeoff_bench(spec, out, budget)
+        out.write(table.getvalue())
     print(f"wrote {len(rows)} rows", file=sys.stderr)
     return 0
 

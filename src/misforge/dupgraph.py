@@ -17,9 +17,10 @@ a stray layered path between collection endpoints would express one
 direction as an average of others.
 
 Vertices are (layer, index) pairs with layers 1-based and indices
-0-based; grid vectors map to indices lexicographically (first coordinate
-most significant).  Padding appends isolated vertices at the top of
-every layer's index range, so path indices are unaffected by it.
+0-based; grid vector v has index(v - 1), index reading base-(k+2)*ell
+digits, first most significant, so path (x, y) is index(x - 1) +
+m*index(y) (see build_dup).  Padding appends isolated vertices at the top
+of every layer's index range, so path indices are unaffected by it.
 
 Storage: a DupGraph stores its paths once, as a (q, p, k+1) int64 array
 of layer-local indices (``paths[i-1, j-1, m-1]`` is the layer-m vertex
@@ -212,24 +213,28 @@ class DupGraph:
 
 
 def build_dup(ell: int, d: int, k: int, budget: Budget | None = None) -> DupGraph:
-    """Construct the q = ell^d collections of p vertex-disjoint paths."""
+    """Construct the q = ell^d collections of p vertex-disjoint paths.
+    Path (x, y) at layer m is index(x - 1) + m*index(y): no digit carries,
+    as no coordinate of x - 1 + m*y, at most ell - 1 + (k+1)*ell, reaches
+    the radix (k+2)*ell.  Shifts x run over {1..ell}^d lexicographically."""
     if k < 1:
         raise InvalidInputError(f"need k >= 1, got {k}")
     budget = budget or default_budget()
+    # refused before any grid is built; build_avg_free_set refuses a bad d
+    if 1 <= d <= MAX_D and (k + 1) * ell**d > budget.max_vectors:
+        raise BudgetExceededError(f"even one direction makes {(k + 1) * ell**d} path vertices, "
+                                  f"cap is {budget.max_vectors}")
     a_set = build_avg_free_set(ell, d, budget)
-    q = ell**d
-    p = a_set.size
+    q, p = ell**d, a_set.size
     if q * p * (k + 1) > budget.max_vectors:
-        raise BudgetExceededError(
-            f"construction would enumerate {q * p * (k + 1)} path vertices, "
-            f"cap is {budget.max_vectors}"
-        )
+        raise BudgetExceededError(f"construction would enumerate {q * p * (k + 1)} path vertices, "
+                                  f"cap is {budget.max_vectors}")
     side = (k + 2) * ell
-    x = np.indices((ell,) * d).reshape(d, q).T + 1                 # shifts, lexicographic
-    y = np.array(a_set.members, dtype=np.int64).reshape(p, d)      # directions
-    m = np.arange(1, k + 2)[:, None]
-    coords = x[:, None, None, :] + m * y[None, :, None, :]         # (q, p, k+1, d)
-    paths = (coords - 1) @ side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    shifts = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        shifts = (shifts[:, None] * side + np.arange(ell)).ravel()
+    steps = np.array(a_set.members, dtype=np.int64) @ side ** np.arange(d - 1, -1, -1)
+    paths = shifts[:, None, None] + steps[:, None] * np.arange(1, k + 2)
     params = DupParams(ell=ell, d=d, k=k, p=p, q=q, padded=(0,) * (k + 1))
     return DupGraph(paths=paths, layer_size=side**d, params=params, avg_free=a_set)
 
@@ -299,13 +304,16 @@ def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
     its path h (2 meaning two or more).  Only edges between consecutive
     layers take part.  One pass counts from every distinct layer-1 path
     start at once: a frontier of (start, vertex, count) rows advances a
-    layer per step, and rows meeting at one vertex merge.  The rows made
-    over the pass, the initial ones included, count against
-    ``budget.max_paths``; going past it raises BudgetExceededError.
+    layer per step, and rows meeting at one vertex merge.  Going past
+    ``budget.max_paths`` in rows made over the pass (the initial ones
+    included) or in the q*p*p table's entries raises BudgetExceededError.
     """
     budget = budget or default_budget()
     paths, size = dup.paths, dup.layer_size
-    layers = paths.shape[-1]
+    q, p, layers = paths.shape
+    if q * p * p > budget.max_paths:
+        raise BudgetExceededError(f"the (q, p, p) path-count table needs {q * p * p} entries, "
+                                  f"cap is {budget.max_paths}")
     n = layers * size
     tails, heads = np.divmod(_graph_keys(dup), n)
     forward = heads // size == tails // size + 1
@@ -336,22 +344,23 @@ def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
 
 
 def _recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
-    """Reconstruct the direction set from path coordinates, if coherent."""
+    """The direction set, if every path is shift + m*step as in build_dup,
+    with one shift per collection and one step per path position."""
     params, paths = dup.params, dup.paths
     if 0 in paths.shape or paths.shape[-1] < 2:
         return None
-    if not ((0 <= paths) & (paths < params.base_layer_size)).all():
-        return None
-    ell, side = params.ell, params.side
-    vecs = paths[..., None] // side ** np.arange(params.d - 1, -1, -1) % side + 1
-    y = vecs[:, :, 1] - vecs[:, :, 0]                   # (q, p, d)
-    x = vecs[:, :, 0] - y
-    m = np.arange(1, paths.shape[-1] + 1)[:, None]
-    coherent = (((1 <= y) & (y <= ell)).all() and ((1 <= x) & (x <= ell)).all()
-                and (vecs == x[:, :, None] + m * y[:, :, None]).all()
-                and (x == x[:, :1]).all() and (y == y[:1]).all())
-    directions = sorted(map(tuple, y[0].tolist()))
-    norms = (y[0] ** 2).sum(axis=1)
+    ell, side, layers = params.ell, params.side, paths.shape[-1]
+    step = paths[..., 1] - paths[..., 0]                # (q, p)
+    shift = paths[..., 0] - step
+    weights = side ** np.arange(params.d - 1, -1, -1)
+    x, y = (v[:, None] // weights % side for v in (shift[:, 0], step[0]))   # x - 1 and y
+    coherent = ((paths == shift[..., None] + step[..., None] * np.arange(1, layers + 1)).all()
+                and (step == step[:1]).all() and (shift == shift[:, :1]).all()
+                and (x @ weights == shift[:, 0]).all() and (y @ weights == step[0]).all()
+                and ((0 <= x) & (x < ell)).all() and ((1 <= y) & (y <= ell)).all()
+                and (x.max(axis=0) + layers * y.max(axis=0) < side).all())   # no carry
+    directions = sorted(map(tuple, y.tolist()))
+    norms = (y**2).sum(axis=1)
     if not coherent or len(set(directions)) != len(directions) or (norms != norms[0]).any():
         return None
     return AvgFreeSet(ell=ell, d=params.d, norm_sq=int(norms[0]), members=tuple(directions))

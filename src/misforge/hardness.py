@@ -307,6 +307,8 @@ def _assemble(level: int, dup: DupGraph, w: int,
 
 
 def _node_rng(seed: int, path: tuple[int, ...]) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=path + (0,))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -60,6 +60,8 @@ class FlatGraph:
 def gnp_graph(n: int, p: float, seed: int) -> FlatGraph:
     """Erdos-Renyi graph with a counter-based generator; the edges come
     in ``np.triu_indices`` order, which is sorted."""
+    if n < 0 or not 0 <= p <= 1:
+        raise InvalidInputError(f"G(n, p) needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
     us, vs = np.triu_indices(n, k=1)
     mask = _rng(seed).random(len(us)) < p
     return FlatGraph(n=n, edges=tuple(zip(us[mask].tolist(), vs[mask].tolist())))
@@ -141,6 +143,8 @@ class StreamReport:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 

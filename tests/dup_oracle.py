@@ -7,14 +7,21 @@ collection, one pair at a time, and reads only tuples: the edge view
 Slow and obviously correct; differential tests require
 ``misforge.dupgraph.verify_dup``, which counts paths in one capped pass,
 to give the same named verdicts.
+
+``coordinate_build_dup`` and ``coordinate_recover_avg_free`` are the
+construction and its inverse on grid coordinates, with every path vertex
+expanded into a (q, p, k+1, d) array; ``build_dup`` and
+``_recover_avg_free`` must give the same results on index arithmetic.
 """
 
 from __future__ import annotations
 
 from embedding_oracle import layered_well_formed
-from misforge.avgfree import AvgFreeSet, Vector
+import numpy as np
+
+from misforge.avgfree import AvgFreeSet, Vector, build_avg_free_set
 from misforge.budgets import Budget, default_budget
-from misforge.dupgraph import DupGraph, Edge, LayeredGraph, Vertex, make_edge
+from misforge.dupgraph import DupGraph, DupParams, Edge, LayeredGraph, Vertex, make_edge
 from misforge.errors import BudgetExceededError, InvalidInputError
 from misforge.numutil import ceil_div
 from misforge.report import VerificationReport
@@ -173,6 +180,51 @@ def recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
     return AvgFreeSet(
         ell=params.ell, d=params.d, norm_sq=norms.pop(), members=tuple(sorted(directions))
     )
+
+
+def coordinate_build_dup(ell: int, d: int, k: int, budget: Budget | None = None) -> DupGraph:
+    """Construct the q = ell^d collections of p vertex-disjoint paths."""
+    if k < 1:
+        raise InvalidInputError(f"need k >= 1, got {k}")
+    budget = budget or default_budget()
+    a_set = build_avg_free_set(ell, d, budget)
+    q = ell**d
+    p = a_set.size
+    if q * p * (k + 1) > budget.max_vectors:
+        raise BudgetExceededError(
+            f"construction would enumerate {q * p * (k + 1)} path vertices, "
+            f"cap is {budget.max_vectors}"
+        )
+    side = (k + 2) * ell
+    x = np.indices((ell,) * d).reshape(d, q).T + 1                 # shifts, lexicographic
+    y = np.array(a_set.members, dtype=np.int64).reshape(p, d)      # directions
+    m = np.arange(1, k + 2)[:, None]
+    coords = x[:, None, None, :] + m * y[None, :, None, :]         # (q, p, k+1, d)
+    paths = (coords - 1) @ side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    params = DupParams(ell=ell, d=d, k=k, p=p, q=q, padded=(0,) * (k + 1))
+    return DupGraph(paths=paths, layer_size=side**d, params=params, avg_free=a_set)
+
+
+def coordinate_recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
+    """Reconstruct the direction set from path coordinates, if coherent."""
+    params, paths = dup.params, dup.paths
+    if 0 in paths.shape or paths.shape[-1] < 2:
+        return None
+    if not ((0 <= paths) & (paths < params.base_layer_size)).all():
+        return None
+    ell, side = params.ell, params.side
+    vecs = paths[..., None] // side ** np.arange(params.d - 1, -1, -1) % side + 1
+    y = vecs[:, :, 1] - vecs[:, :, 0]                   # (q, p, d)
+    x = vecs[:, :, 0] - y
+    m = np.arange(1, paths.shape[-1] + 1)[:, None]
+    coherent = (((1 <= y) & (y <= ell)).all() and ((1 <= x) & (x <= ell)).all()
+                and (vecs == x[:, :, None] + m * y[:, :, None]).all()
+                and (x == x[:, :1]).all() and (y == y[:1]).all())
+    directions = sorted(map(tuple, y[0].tolist()))
+    norms = (y[0] ** 2).sum(axis=1)
+    if not coherent or len(set(directions)) != len(directions) or (norms != norms[0]).any():
+        return None
+    return AvgFreeSet(ell=ell, d=params.d, norm_sq=int(norms[0]), members=tuple(directions))
 
 
 def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationReport:

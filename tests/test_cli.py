@@ -63,6 +63,14 @@ def test_verify_budget_exceeded(tmp_path, monkeypatch):
     assert main(["verify", "--in", str(out)]) == 3
 
 
+def test_verify_path_count_table_over_budget(tmp_path, capsys):
+    out = tmp_path / "g.dupg"
+    main(["gen-dup", "--ell", "5", "--d", "3", "--k", "1", "--out", str(out)])
+    assert main(["verify", "--in", str(out), "--path-budget", "4500"]) == 0
+    assert main(["verify", "--in", str(out), "--path-budget", "2000"]) == 3
+    assert "table" in capsys.readouterr().err
+
+
 def test_gen_instance_deterministic(tmp_path):
     a, b = tmp_path / "a.misr", tmp_path / "b.misr"
     args = ["gen-instance", "--r", "1", "--n0", "4", "--toy", "2,1", "--seed", "7"]
@@ -172,6 +180,39 @@ def test_bench_row_count(tmp_path):
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 16  # header + 3 algorithms x 5 seeds
+
+
+GNP_8 = [{"kind": "gnp", "n": 8, "p": 0.3}]
+
+
+@pytest.mark.parametrize("spec", [
+    {"instances": GNP_8, "algorithms": ["luby", "residual:b=x"], "seeds": [1]},
+    {"instances": GNP_8, "algorithms": ["luby"], "seeds": [1, -1]},
+    {"instances": [{"kind": "hard", "n0": 4, "toy": [[1, 1]]}], "algorithms": ["luby"],
+     "seeds": [-1]},
+    {"instances": [{"kind": "gnp", "n": 6, "p": 5}], "algorithms": ["luby"], "seeds": [1]},
+    {"instances": [{"kind": "gnp", "n": 6, "p": 0.5, "graph_seed": -1}],
+     "algorithms": ["luby"], "seeds": [1]},
+    {"instances": [{"kind": "hard", "n0": 4, "toy": [[1, 1]], "graph_seed": -1}],
+     "algorithms": ["luby"], "seeds": [1]},
+])
+def test_failed_bench_writes_no_csv(tmp_path, spec):
+    path, out = tmp_path / "spec.json", tmp_path / "o.csv"
+    path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert main(["bench", "--spec", str(path), "--out", str(out)]) == 2
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [["--r", "0", "--n0", "4"],
+                                  ["--r", "1", "--n0", "4", "--toy", "1,1"]])
+def test_gen_instance_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "neg.misr"
+    assert main(["gen-instance", *argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "-1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_is_invalid_input():

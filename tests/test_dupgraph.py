@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from misforge import (
     verify_dup,
     write_dup,
 )
+from misforge import dupgraph
 from misforge.dupgraph import DupGraph, DupParams, LayeredGraph, check_key_range, make_edge
 
 
@@ -328,6 +330,95 @@ def test_verify_dup_matches_dfs_oracle_on_mutants():
 def test_verify_dup_budget_raises():
     with pytest.raises(BudgetExceededError):
         verify_dup(build_dup(2, 2, 1), Budget(max_paths=4))
+
+
+def test_path_count_table_counts_against_the_budget():
+    dup = build_dup(5, 3, 1)        # 1047 frontier rows; a (125, 6, 6) table of 4500 entries
+    assert verify_dup(dup, Budget(max_paths=4500)).ok
+    with pytest.raises(BudgetExceededError, match="table"):
+        verify_dup(dup, Budget(max_paths=2000))
+
+
+# -- index arithmetic against the coordinate construction ------------------------
+
+# every criterion-2 shape
+CRITERION_2 = [(ell, d, k) for k in range(1, 4) for d in range(1, 8)
+               for ell in range(1, 4096 // (k + 2) + 1) if ((k + 2) * ell) ** d <= 4096]
+
+
+def test_build_matches_coordinate_oracle():
+    for case in CRITERION_2:
+        dup, want = build_dup(*case), dup_oracle.coordinate_build_dup(*case)
+        assert dup.paths.dtype == want.paths.dtype and np.array_equal(dup.paths, want.paths)
+        assert np.array_equal(dup.edges, want.edges), case
+        assert (dup.params, dup.avg_free) == (want.params, want.avg_free), case
+
+
+def nudge(dup, rng):
+    """One path entry moved by 1, side or side^(d-1), up or down."""
+    paths, side, d = dup.paths.copy(), dup.params.side, dup.params.d
+    paths[tuple(rng.integers(n) for n in paths.shape)] += (
+        rng.choice([-1, 1]) * rng.choice([1, side, side ** (d - 1)]))
+    return replace(dup, paths=paths)
+
+
+def test_recover_matches_coordinate_oracle():
+    none = []
+
+    @given(case=st.one_of(st.sampled_from(SMALL_DUPS), st.sampled_from(MULTI_PATH)),
+           kind=st.sampled_from(("built", "nudge", *MUTANTS)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=400, database=None)
+    def compare(case, kind, seed):
+        rng, dup = np.random.default_rng(seed), build_dup(*case)
+        if kind == "nudge":
+            dup = nudge(dup, rng)
+        elif kind != "built":
+            dup = mutate(dup, kind, rng)
+        want = dup_oracle.coordinate_recover_avg_free(dup)
+        assert dupgraph._recover_avg_free(dup) == want, kind
+        none.append(want is None)
+
+    compare()
+    assert 0 < sum(none) < len(none)
+
+
+def test_recover_matches_coordinate_oracle_on_params_one_off():
+    # with k one lower the paths reach a layer where digits carry
+    for case in SMALL_DUPS:
+        dup = build_dup(*case)
+        for field, delta in itertools.product(("ell", "d", "k"), (-1, 1)):
+            if getattr(dup.params, field) + delta >= 1:
+                params = replace(dup.params, **{field: getattr(dup.params, field) + delta})
+                odd = replace(dup, params=params)
+                want = dup_oracle.coordinate_recover_avg_free(odd)
+                assert dupgraph._recover_avg_free(odd) == want, (case, field, delta)
+
+
+def refuse_grids_over(monkeypatch, k):
+    """Make build_avg_free_set fail the test for a grid whose k+1 layers
+    of ell^d vertices would already exceed the budget's vector cap."""
+    real = dupgraph.build_avg_free_set
+
+    def spy(ell, d, budget):
+        assert (k + 1) * ell**d <= budget.max_vectors, f"built the grid of ({ell}, {d})"
+        return real(ell, d, budget)
+
+    monkeypatch.setattr(dupgraph, "build_avg_free_set", spy)
+
+
+def test_build_refuses_before_building_the_grid(monkeypatch):
+    refuse_grids_over(monkeypatch, 1)
+    with pytest.raises(BudgetExceededError):
+        build_dup(16_000_000, 1, 1)
+
+
+def test_build_from_size_builds_no_grid_over_budget(monkeypatch):
+    budget = Budget(max_vectors=300)
+    want = build_dup_from_size(4000, 1, budget)     # d = 1 and 2 are over the cap
+    refuse_grids_over(monkeypatch, 1)
+    got = build_dup_from_size(4000, 1, budget)
+    assert (got.params, got.avg_free) == (want.params, want.avg_free)
 
 
 # -- dupg serialization -------------------------------------------------------

@@ -323,6 +323,13 @@ def test_sample_tree_deterministic():
     assert sample_tree(plans, 4, 17) != sample_tree(plans, 4, 18)
 
 
+def test_negative_seed_is_invalid_input():
+    plans = plan_levels(ToyParams(n_0=4, levels=((2, 1),)))
+    for sample in (lambda: sample_tree(plans, 4, -1), lambda: sample_base_instance(4, -1)):
+        with pytest.raises(InvalidInputError, match="-1"):
+            sample()
+
+
 def test_sibling_substreams_differ():
     # with many base slots, all-identical sibling draws would mean the
     # per-child keying collapsed

@@ -133,6 +133,19 @@ def test_make_algorithm():
         make_algorithm("dance", 8, 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gnp_graph(-3, 0.5, 0), lambda: gnp_graph(6, 5, 0), lambda: gnp_graph(6, math.nan, 0),
+    lambda: gnp_graph(6, -0.1, 0), lambda: gnp_graph(6, 0.5, -1),
+    lambda: make_algorithm("luby", 8, -1),
+    lambda: EdgeStream.from_edges([(0, 1)], "random", seed=-1),
+])
+def test_gnp_and_seeds_out_of_range_are_invalid_input(make):
+    from misforge import InvalidInputError
+
+    with pytest.raises(InvalidInputError):
+        make()
+
+
 # -- stream orders ------------------------------------------------------------
 
 
