@@ -14,9 +14,13 @@ the whole grid in lexicographic order.  verify_avg_free is an
 independent exhaustive check of the averaging property; it does not
 assume the input came from the builder.  It searches the multisets of
 each size as one tree of partial sums, expanding a block of search
-states per numpy step: each state's feasible next picks are an AND of
-per-coordinate packed-bit member masks, and a completed sum is looked
-up among the members by a binary search over their sorted rows.
+states of one depth per numpy step, leaves included.  Member sets are
+rows of uint64 words, one bit per member.  Per depth and coordinate an
+interval table maps a residual, by one binary search over at most 2u
+breakpoints (u distinct member values), to the word mask of the members
+that fit the depth's box, so a block's children are one row gather and
+AND per coordinate; at the last pick the box is a single point and a
+leaf is a hit when its mask is not empty.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from .errors import BudgetExceededError, InvalidInputError
 
 Vector = tuple[int, ...]
 
-# Search states expanded per numpy step.  The children of one block are
-# materialised at once, so the block size bounds the live frontier, and
-# with it peak memory: on (8, 4) a block of 2048 leaves up to 42 k live
-# states, one of 256 about 8 k, at a few percent more time.
-BLOCK = 256
+# Search states expanded per numpy step.  A block's children are kept as
+# 8-byte pairs, so the block size mostly bounds the numpy temporaries of
+# one step.  On (8, 4) up to t = 5, the tracemalloc peak of a first call
+# (1.16 MB of it numpy's lazy imports) is 1.40 MB at 512, 1.64 MB at 1024
+# and 2.11 MB at 2048, where 1024 takes about 20 % more time than 2048.
+BLOCK = 1024
 
 # d is bounded before ell^d or the grid is built.  No grid of d > 63 is
 # usable: for ell >= 2 it has at least 2^64 vectors, and a DUP grid (side
@@ -116,53 +121,29 @@ def _member_array(a_set: AvgFreeSet) -> np.ndarray:
     return arr
 
 
-class _Children:
-    """Vectorised child test and member lookup of the multiset search.
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array as packed uint64 words, bit j of a row
+    (in packbits order) standing for column j."""
+    padded = np.zeros((len(rows), -(-rows.shape[1] // 64) * 64), dtype=bool)
+    padded[:, :rows.shape[1]] = rows
+    return np.packbits(padded, axis=1).view(np.uint64)
 
-    For coordinate c, ``values[c]`` are the distinct member values and
-    ``below[c][k]`` is the packed bit mask of the members whose value is
-    smaller than ``values[c][k]`` (all members for k = len(values[c])).
-    ``from_start[s]`` masks the indices j >= s.  The children of a block
-    of states are then a few row gathers and ANDs of packed bits, one per
-    coordinate and bound.
-    """
 
-    def __init__(self, arr: np.ndarray):
-        n, d = arr.shape
-        self.arr = arr
-        self.values = [np.unique(arr[:, c]) for c in range(d)]
-        self.below = []
-        for c, vals in enumerate(self.values):
-            rank = np.searchsorted(vals, arr[:, c])
-            self.below.append(np.packbits(rank < np.arange(len(vals) + 1)[:, None], axis=1))
-        self.from_start = np.packbits(np.arange(n) >= np.arange(n + 1)[:, None], axis=1)
-        # Rows as big-endian bytes compare in lexicographic order (every
-        # value is positive), so a stable sort of the members and a binary
-        # search find a vector; ``order`` maps back to member indices.  With
-        # stability the last of equal rows has the largest index.
-        keys = self._keys(arr)
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
-
-    @staticmethod
-    def _keys(vecs: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(vecs, dtype=">i8")
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
-
-    def of(self, start: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """(state, j) pairs: j >= start[state] and lo <= arr[j] <= hi per coordinate."""
-        bits = self.from_start[start]
-        for c, vals in enumerate(self.values):
-            below = self.below[c]
-            bits &= below[np.searchsorted(vals, hi[:, c], side="right")]
-            bits &= ~below[np.searchsorted(vals, lo[:, c], side="left")]
-        return np.nonzero(np.unpackbits(bits, axis=1, count=len(self.arr)))
-
-    def member_index(self, vecs: np.ndarray) -> np.ndarray:
-        """The last index of each row of vecs among the members, or -1."""
-        pos = np.searchsorted(self.keys, self._keys(vecs), side="right") - 1
-        found = (pos >= 0) & np.all(self.arr[self.order[pos]] == vecs, axis=1)
-        return np.where(found, self.order[pos], -1)
+def _box_tables(arr: np.ndarray, ell: int, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per coordinate c, the members inside the level-m box as a function
+    of the residual r: member j fits when arr[j, c] + (m-1) <= r <= arr[j, c]
+    + (m-1)*ell, so the fitting set only changes at the sorted breakpoints
+    v + m-1 and v + (m-1)*ell + 1 of the distinct values v.  Row
+    searchsorted(breaks, r, "right") of ``masks`` is its word mask: row 0
+    (r below every breakpoint) is empty, and row i holds the members fitting
+    at breaks[i-1].  Sized by the distinct values, never by ell."""
+    tables = []
+    for col in arr.T:
+        breaks = np.unique(np.r_[col + (m - 1), col + (m - 1) * ell + 1])
+        at = breaks[:, None]
+        fits = (col + (m - 1) <= at) & (at <= col + (m - 1) * ell)
+        tables.append((breaks, _words(np.vstack([np.zeros_like(col, dtype=bool), fits]))))
+    return tables
 
 
 def verify_avg_free(
@@ -180,21 +161,28 @@ def verify_avg_free(
     of index at least start, summing to residual.  Each pick contributes
     between 1 and ell per coordinate, so its children are the indices
     j >= start with residual - (m-1)*ell <= arr[j] <= residual - (m-1) in
-    every coordinate.  At m = 1 the state is a hit when residual is a
-    member of index at least start.  For each t every root t*a must get
-    exactly one hit.
+    every coordinate.  At m = 1 that box is the single point residual, so
+    a leaf's children are the members equal to residual of index at least
+    start, and the leaf is a hit when it has any: the last such index is
+    at least start, which also holds when members repeat.  For each t
+    every root t*a must get exactly one hit.
 
     All |A| roots of one t are searched together, depth-first, a block of
-    up to BLOCK states of one depth per numpy step; ``owner`` records each
-    state's root.  Every state counts as one node against
-    ``budget.max_nodes``, and BudgetExceededError is raised as soon as the
-    running total passes it.  On an average-free set the whole tree is
-    visited, so the total, and the cap at which the check raises, equal
-    those of a one-state-at-a-time depth-first search.  On a set that is
-    not average-free, that search stops at the first root with a second
-    hit, while here all roots advance together until some root has two
-    hits: the verdict is the same False, but it may come after more
-    nodes, so a cap that the one-state search stays under can raise here.
+    up to BLOCK states of one depth per numpy step, leaves included.  A
+    state's children are one word-mask row AND per coordinate, looked up
+    in the level's box tables (_box_tables) by one searchsorted, over the
+    row of indices >= start.  A frame keeps the children of a block as
+    flat pairs row * |A| + j over the block's residuals and root owners,
+    8 bytes a state.  Every state counts as one node against
+    ``budget.max_nodes`` when its block is taken, and BudgetExceededError
+    is raised as soon as the running total passes it.  On an average-free
+    set the whole tree is visited, so the total, and the cap at which the
+    check raises, equal those of a one-state-at-a-time depth-first search.
+    On a set that is not average-free, that search stops at the first root
+    with a second hit, while here all roots advance together until some
+    root has two hits: the verdict is the same False, but it may come
+    after more nodes, so a cap that the one-state search stays under can
+    raise here.
 
     Raises InvalidInputError for ell < 1 or d < 1, for ragged members and
     for members outside {1..ell}^d.
@@ -206,39 +194,38 @@ def verify_avg_free(
     n = len(arr)
     if n <= 1:
         return True
-    children = _Children(arr)
+    from_start = _words(np.arange(n) >= np.arange(n + 1)[:, None])   # row s: j >= s
+    boxes = [None] + [_box_tables(arr, a_set.ell, m) for m in range(1, max_multiset_size + 1)]
     nodes = 0
-
-    def visit(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > budget.max_nodes:
-            raise BudgetExceededError(f"multiset search exceeded node cap {budget.max_nodes}")
-
     for t in range(2, max_multiset_size + 1):
         hits = np.zeros(n, dtype=np.int64)
-        # frames of states (m, start, residual, owner), deepest last
-        stack = [(t, np.zeros(n, dtype=np.int64), t * arr, np.arange(n))]
+        # frames (m, pairs, base, owner), deepest last: pair row * n + j is
+        # the state of start j, residual base[row] - arr[j] and root
+        # owner[row].  Root a_i is pair i * n + 0 over base t * a_i + arr[0].
+        stack = [(t, np.arange(n) * n, t * arr + arr[0], np.arange(n))]
         while stack:
-            m, start, residual, owner = stack[-1]
-            if len(start) > BLOCK:
-                stack[-1] = (m, start[:-BLOCK], residual[:-BLOCK], owner[:-BLOCK])
-                start, residual, owner = start[-BLOCK:], residual[-BLOCK:], owner[-BLOCK:]
+            m, pairs, base, owner = stack[-1]
+            if len(pairs) > BLOCK:
+                stack[-1] = (m, pairs[:-BLOCK], base, owner)
+                pairs = pairs[-BLOCK:]
             else:
                 stack.pop()
-            visit(len(start))
-            rows, js = children.of(start, residual - (m - 1) * a_set.ell, residual - (m - 1))
-            if not len(js):
+            nodes += len(pairs)
+            if nodes > budget.max_nodes:
+                raise BudgetExceededError(f"multiset search exceeded node cap {budget.max_nodes}")
+            rows, start = np.divmod(pairs, n)
+            residual, owner = base[rows] - arr[start], owner[rows]
+            bits = from_start[start]
+            for c, (breaks, masks) in enumerate(boxes[m]):
+                bits &= masks[np.searchsorted(breaks, residual[:, c], side="right")]
+            if m == 1:
+                hits += np.bincount(owner[bits.any(axis=1)], minlength=n)
+                if hits.max() >= 2:
+                    return False
                 continue
-            residual, owner = residual[rows] - arr[js], owner[rows]
-            if m > 2:
-                stack.append((m - 1, js, residual, owner))
-                continue
-            visit(len(js))   # the m = 1 leaves
-            hit = children.member_index(residual) >= js
-            hits += np.bincount(owner[hit], minlength=n)
-            if hits.max() >= 2:
-                return False
+            pairs = np.flatnonzero(np.unpackbits(bits.view(np.uint8), axis=1, count=n).view(bool))
+            if len(pairs):
+                stack.append((m - 1, pairs, residual, owner))
         if np.any(hits != 1):
             return False
     return True

@@ -15,7 +15,15 @@ from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 from .budgets import default_budget
-from .dupgraph import build_dup, build_dup_from_size, read_dup, verify_dup, write_dup
+from .dupgraph import (
+    build_dup,
+    build_dup_from_size,
+    check_path_table,
+    read_dup,
+    read_dup_header,
+    verify_dup,
+    write_dup,
+)
 from .avgfree import verify_avg_free, well_formed
 from .errors import (
     BudgetExceededError,
@@ -69,7 +77,9 @@ def cmd_verify(args) -> int:
             raise InvalidInputError("--path-budget must be positive")
         budget = replace(budget, max_paths=args.path_budget)
     with open(args.infile, encoding="utf-8") as fh:
-        dup = read_dup(fh)
+        header = read_dup_header(fh)
+        check_path_table(header.q, header.p, budget)    # before any path line is read
+        dup = read_dup(fh, header)
     report = verify_dup(dup, budget)
     avg_ok = (
         dup.avg_free is not None

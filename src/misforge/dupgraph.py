@@ -38,7 +38,7 @@ from collections.abc import Set as AbstractSet
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -296,6 +296,14 @@ def _graph_keys(dup: DupGraph) -> np.ndarray:
     return _distinct(edge_keys(np.sort(dup.edges, axis=1), n))
 
 
+def check_path_table(q: int, p: int, budget: Budget) -> None:
+    """Raise BudgetExceededError if the (q, p, p) path-count table of q
+    collections of p paths has more than ``budget.max_paths`` entries."""
+    if q * p * p > budget.max_paths:
+        raise BudgetExceededError(f"the (q, p, p) path-count table needs {q * p * p} entries, "
+                                  f"cap is {budget.max_paths}")
+
+
 def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
     """Layered path counts between collection endpoints, capped at 2.
 
@@ -311,9 +319,7 @@ def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
     budget = budget or default_budget()
     paths, size = dup.paths, dup.layer_size
     q, p, layers = paths.shape
-    if q * p * p > budget.max_paths:
-        raise BudgetExceededError(f"the (q, p, p) path-count table needs {q * p * p} entries, "
-                                  f"cap is {budget.max_paths}")
+    check_path_table(q, p, budget)
     n = layers * size
     tails, heads = np.divmod(_graph_keys(dup), n)
     forward = heads // size == tails // size + 1
@@ -426,15 +432,21 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
+# path lines per string that write_dup formats with one %
+DUPG_BLOCK_ROWS = 1 << 16
+
+
 def write_dup(dup: DupGraph, fh: IO[str]) -> None:
     params = dup.params
-    fh.write(
-        f"dupg 1 {dup.paths.shape[-1]} {dup.layer_size} {params.p} {params.q} "
-        f"{params.ell} {params.d}\n"
-    )
-    for i, rows in enumerate(dup.paths.tolist(), start=1):
-        for j, row in enumerate(rows, start=1):
-            fh.write(f"upc {i} {j} {' '.join(map(str, row))}\n")
+    q, p, layers = dup.paths.shape
+    fh.write(f"dupg 1 {layers} {dup.layer_size} {params.p} {params.q} {params.ell} {params.d}\n")
+    line = "upc %d %d" + " %d" * layers + "\n"
+    paths = dup.paths.reshape(q * p, layers)
+    for lo in range(0, q * p, DUPG_BLOCK_ROWS):
+        block = paths[lo:lo + DUPG_BLOCK_ROWS]
+        pos = np.arange(lo, lo + len(block))
+        rows = np.column_stack([pos // p + 1, pos % p + 1, block])     # i, j, path
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
     for pad in params.padded:
         fh.write(f"pad {pad}\n")
 
@@ -446,27 +458,45 @@ def _ints(fields: list[str], line: str) -> list[int]:
         raise FormatError(f"non-integer field in {line!r}") from exc
 
 
-def read_dup(fh: IO[str]) -> DupGraph:
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+class DupHeader(NamedTuple):
+    num_layers: int
+    layer_size: int
+    p: int
+    q: int
+    ell: int
+    d: int
+
+
+def read_dup_header(fh: IO[str]) -> DupHeader:
+    """The first non-blank line of a dupg file, validated; nothing after
+    it is read."""
+    line = next((ln.strip() for ln in fh if ln.strip()), None)
+    if line is None:
         raise FormatError("empty dupg file")
-    head = lines[0].split()
+    head = line.split()
     if len(head) != 8 or head[0] != "dupg" or head[1] != "1":
-        raise FormatError(f"bad dupg header: {lines[0]!r}")
-    num_layers, layer_size, p, q, ell, d = _ints(head[2:], lines[0])
+        raise FormatError(f"bad dupg header: {line!r}")
+    header = DupHeader(*_ints(head[2:], line))
+    num_layers, layer_size, p, q, ell, d = header
     if num_layers < 2 or layer_size < 1 or p < 1 or q < 1 or ell < 1 or not 1 <= d <= MAX_D:
         raise FormatError("header fields out of range")
-    k = num_layers - 1
-    base = ((k + 2) * ell) ** d
+    base = ((num_layers + 1) * ell) ** d
     if layer_size < base:
         raise FormatError(f"layer size {layer_size} is below the construction's {base}")
-    if len(lines) != 1 + q * p + num_layers:
+    return header
+
+
+def read_dup(fh: IO[str], header: DupHeader | None = None) -> DupGraph:
+    """A dupg file, or the rest of one whose header has been read."""
+    num_layers, layer_size, p, q, ell, d = header or read_dup_header(fh)
+    lines = [ln.strip() for ln in fh if ln.strip()]
+    if len(lines) != q * p + num_layers:
         raise FormatError(
             f"expected {q * p} path lines and {num_layers} pad lines, "
-            f"found {len(lines) - 1}"
+            f"found {len(lines)}"
         )
     rows = []
-    for pos, line in enumerate(lines[1 : 1 + q * p]):
+    for pos, line in enumerate(lines[:q * p]):
         parts = line.split()
         if parts[0] != "upc" or len(parts) != 3 + num_layers:
             raise FormatError(f"bad path line: {line!r}")
@@ -477,14 +507,14 @@ def read_dup(fh: IO[str]) -> DupGraph:
             raise FormatError(f"vertex index out of range in {line!r}")
         rows.append(idxs)
     pads = []
-    for line in lines[1 + q * p :]:
+    for line in lines[q * p:]:
         parts = line.split()
         if parts[0] != "pad" or len(parts) != 2:
             raise FormatError(f"bad pad line: {line!r}")
         pads.extend(_ints(parts[1:], line))
-    if any(c != layer_size - base for c in pads):
+    params = DupParams(ell=ell, d=d, k=num_layers - 1, p=p, q=q, padded=tuple(pads))
+    if any(c != layer_size - params.base_layer_size for c in pads):
         raise FormatError("pad counts disagree with layer size and dimensions")
     paths = np.array(rows, dtype=np.int64).reshape(q, p, num_layers)
-    params = DupParams(ell=ell, d=d, k=k, p=p, q=q, padded=tuple(pads))
     dup = DupGraph(paths=paths, layer_size=layer_size, params=params, avg_free=None)
     return replace(dup, avg_free=_recover_avg_free(dup))

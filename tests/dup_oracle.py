@@ -12,6 +12,10 @@ to give the same named verdicts.
 construction and its inverse on grid coordinates, with every path vertex
 expanded into a (q, p, k+1, d) array; ``build_dup`` and
 ``_recover_avg_free`` must give the same results on index arithmetic.
+
+``line_write_dup`` writes a dupg file one f-string per path line;
+``write_dup``, which formats a block of lines at a time, must write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -180,6 +184,19 @@ def recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
     return AvgFreeSet(
         ell=params.ell, d=params.d, norm_sq=norms.pop(), members=tuple(sorted(directions))
     )
+
+
+def line_write_dup(dup: DupGraph, fh) -> None:
+    params = dup.params
+    fh.write(
+        f"dupg 1 {dup.paths.shape[-1]} {dup.layer_size} {params.p} {params.q} "
+        f"{params.ell} {params.d}\n"
+    )
+    for i, rows in enumerate(dup.paths.tolist(), start=1):
+        for j, row in enumerate(rows, start=1):
+            fh.write(f"upc {i} {j} {' '.join(map(str, row))}\n")
+    for pad in params.padded:
+        fh.write(f"pad {pad}\n")
 
 
 def coordinate_build_dup(ell: int, d: int, k: int, budget: Budget | None = None) -> DupGraph:

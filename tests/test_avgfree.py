@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,27 @@ def test_node_count_pins_the_cap():
         verify_avg_free(a, 5, Budget(max_nodes=454_361))
 
 
+@pytest.mark.parametrize("ell, d, nodes", [(16, 3, 82_260), (7, 4, 37_422)])
+def test_node_count_pins_the_other_benchmark_grids(ell, d, nodes):
+    """Up to t=5, as counted by dfs_avg_free."""
+    a = build_avg_free_set(ell, d)
+    assert verify_avg_free(a, 5, Budget(max_nodes=nodes))
+    with pytest.raises(BudgetExceededError):
+        verify_avg_free(a, 5, Budget(max_nodes=nodes - 1))
+
+
+def test_mask_tables_do_not_grow_with_ell():
+    a = AvgFreeSet(ell=10**7, d=1, norm_sq=0, members=((1,), (10**7,)))
+    assert verify_avg_free(a, 5)     # a first call pays numpy's lazy imports
+    tracemalloc.start()
+    try:
+        assert verify_avg_free(a, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _member_sets(ell, d, data):
     grid = list(itertools.product(range(1, ell + 1), repeat=d))
     members = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=8, unique=True))
@@ -207,3 +229,37 @@ def test_verify_matches_dfs_oracle_on_random_sets():
                 verify_avg_free(a, t, Budget(max_nodes=nodes - 1))
         refuted += not verdict
     assert refuted >= 50
+
+
+@given(shape=st.sampled_from([(3, 6), (8, 4), (9, 4), (5, 5), (4, 6)]), t=st.integers(2, 3),
+       data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_verify_matches_dfs_oracle_on_multiword_masks(shape, t, data):
+    """65 to 140 members, so every mask spans two or three uint64 words: a
+    subset of a sphere class (average-free) in random or sorted order, and
+    maybe a member repeated or swapped for a stray grid point.  Same
+    verdict as the per-node search; on average-free sets the same node
+    count, so the cap trips at the same value."""
+    ell, d = shape
+    sphere = build_avg_free_set(ell, d).members
+    size = data.draw(st.integers(65, min(139, len(sphere))))
+    members = data.draw(st.permutations(sphere))[:size]
+    if data.draw(st.booleans()):
+        members = sorted(members)
+    if data.draw(st.booleans()):
+        members.insert(data.draw(st.integers(0, size)), data.draw(st.sampled_from(members)))
+    if data.draw(st.booleans()):
+        stray = tuple(data.draw(st.integers(1, ell)) for _ in range(d))
+        members[data.draw(st.integers(0, size - 1))] = stray
+    a = AvgFreeSet(ell=ell, d=d, norm_sq=0, members=tuple(members))
+    verdict, nodes = dfs_avg_free(a, t)
+    assert verify_avg_free(a, t) == verdict
+    cap = data.draw(st.integers(0, nodes + 1))
+    try:
+        capped = verify_avg_free(a, t, Budget(max_nodes=cap))
+    except BudgetExceededError:
+        capped = None
+    if verdict:
+        assert capped is (None if cap < nodes else True)
+    elif capped is not None:
+        assert capped is False

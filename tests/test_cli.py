@@ -71,6 +71,16 @@ def test_verify_path_count_table_over_budget(tmp_path, capsys):
     assert "table" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_over_cap_header_before_its_path_lines(tmp_path, capsys):
+    """q * p * p = 4 * 2 * 2 is over a path budget of 15: exit 3 from the
+    header alone, though no line after it is a path line."""
+    bad = tmp_path / "g.dupg"
+    bad.write_text("dupg 1 2 36 2 4 2 2\nnot a path line\n")
+    assert main(["verify", "--in", str(bad), "--path-budget", "15"]) == 3
+    assert "path-count table needs 16 entries, cap is 15" in capsys.readouterr().err
+    assert main(["verify", "--in", str(bad), "--path-budget", "16"]) == 2
+
+
 def test_gen_instance_deterministic(tmp_path):
     a, b = tmp_path / "a.misr", tmp_path / "b.misr"
     args = ["gen-instance", "--r", "1", "--n0", "4", "--toy", "2,1", "--seed", "7"]

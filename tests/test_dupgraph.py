@@ -448,6 +448,30 @@ def test_dupg_roundtrip(ell, d, k, padding):
     assert buf2.getvalue() == text
 
 
+def test_write_matches_line_oracle(monkeypatch):
+    """Byte for byte on the criterion-2 shapes, padded and not, with blocks
+    of 7 lines so most files span several blocks.  Every d >= 2 shape; of
+    the d = 1 shapes, which differ only in their number of one-path lines,
+    every 16th ell."""
+    monkeypatch.setattr(dupgraph, "DUPG_BLOCK_ROWS", 7)
+    for case in [(ell, d, k) for ell, d, k in CRITERION_2 if d >= 2 or ell % 16 == 0]:
+        dup = build_dup(*case)
+        for graph in (dup, pad_dup(dup, dup.layer_size + 3)):
+            got, want = io.StringIO(), io.StringIO()
+            write_dup(graph, got)
+            dup_oracle.line_write_dup(graph, want)
+            assert got.getvalue() == want.getvalue(), case
+
+
+def test_write_blocks_at_the_default_size():
+    dup = build_dup_from_size(100_000, 1)      # 65 712 path lines: a block and 176 lines
+    assert dup.params.q * dup.params.p > dupgraph.DUPG_BLOCK_ROWS
+    got, want = io.StringIO(), io.StringIO()
+    write_dup(dup, got)
+    dup_oracle.line_write_dup(dup, want)
+    assert got.getvalue() == want.getvalue()
+
+
 @pytest.mark.parametrize("mangle", [
     lambda t: t.replace("dupg 1", "dupg 9", 1),
     lambda t: t.replace("dupg 1", "xyzzy 1", 1),
