@@ -38,6 +38,7 @@ from collections.abc import Set as AbstractSet
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from typing import IO, Iterator, NamedTuple
 
 import numpy as np
@@ -77,13 +78,44 @@ def edge_pairs(edges: np.ndarray, layer_size: int) -> Iterator[Edge]:
         yield (u // layer_size + 1, u % layer_size), (v // layer_size + 1, v % layer_size)
 
 
-class EdgeView(AbstractSet):
-    """A read-only set of ``(layer, idx)`` edge pairs over disjoint ``(m, 2)``
-    flat-id arrays, each sorted by (u, v) with u < v.  ``len`` touches no
-    edge, membership is a binary search, and only iteration builds tuple
-    pairs.  Set operations with other sets return frozensets."""
+@dataclass(frozen=True, eq=False)
+class Biclique:
+    """The complete bipartite edge set left x right of two sorted int64 id
+    vectors, kept as the two vectors: an edge section that holds |L| * |R|
+    edges in O(|L| + |R|) words."""
 
-    def __init__(self, parts: tuple[np.ndarray, ...], layer_size: int, n: int):
+    left: np.ndarray
+    right: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def expand(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array, row-major in (u, v): sorted."""
+        edges = np.empty((len(self.left), len(self.right), 2), dtype=np.int64)
+        edges[..., 0] = self.left[:, None]
+        edges[..., 1] = self.right
+        return edges.reshape(-1, 2)
+
+
+def expand(part: np.ndarray | Biclique) -> np.ndarray:
+    """An edge section as an (m, 2) array: a Biclique expanded, an array as it is."""
+    return part.expand() if isinstance(part, Biclique) else part
+
+
+def stack_edges(parts) -> np.ndarray:
+    """Edge sections, in order, as one (m, 2) array."""
+    return np.concatenate([expand(p) for p in parts] or [np.empty((0, 2), np.int64)])
+
+
+class EdgeView(AbstractSet):
+    """A read-only set of ``(layer, idx)`` edge pairs over disjoint edge
+    sections: ``(m, 2)`` flat-id arrays, each sorted by (u, v) with u < v,
+    or Bicliques whose left ids are below their right ids.  ``len``
+    touches no edge, membership is a binary search, and only iteration
+    builds tuple pairs.  Set operations with other sets return frozensets."""
+
+    def __init__(self, parts: tuple[np.ndarray | Biclique, ...], layer_size: int, n: int):
         self.parts, self.layer_size, self.n = parts, layer_size, n
         self._sorted_keys: np.ndarray | None = None     # built on the first lookup
 
@@ -93,8 +125,13 @@ class EdgeView(AbstractSet):
         return sum(len(part) for part in self.parts)
 
     def __iter__(self) -> Iterator[Edge]:
+        size = self.layer_size
         for part in self.parts:
-            yield from edge_pairs(part, self.layer_size)
+            if isinstance(part, Biclique):      # each side's vertices made once
+                yield from product(*([(x // size + 1, x % size) for x in ids.tolist()]
+                                     for ids in (part.left, part.right)))
+            else:
+                yield from edge_pairs(part, size)
 
     def __contains__(self, edge) -> bool:
         size, n = self.layer_size, self.n
@@ -106,7 +143,8 @@ class EdgeView(AbstractSet):
         except (TypeError, ValueError):
             return False
         if self._sorted_keys is None:
-            self._sorted_keys = np.sort(np.concatenate([edge_keys(p, n) for p in self.parts]))
+            self._sorted_keys = np.sort(np.concatenate([edge_keys(expand(p), n)
+                                                        for p in self.parts]))
         i = np.searchsorted(self._sorted_keys, u * n + v)
         return bool(i < len(self._sorted_keys) and self._sorted_keys[i] == u * n + v)
 
@@ -140,7 +178,7 @@ class LayeredGraph:
         """The edges as a sorted (m, 2) int64 array of flat ids, smaller id first."""
         edges = self.edges
         if isinstance(edges, EdgeView):
-            keys = np.sort(np.concatenate([edge_keys(p, edges.n) for p in edges.parts]))
+            keys = np.sort(np.concatenate([edge_keys(expand(p), edges.n) for p in edges.parts]))
             return np.column_stack(np.divmod(keys, edges.n))
         pairs = np.array([(self.flat_id(u), self.flat_id(v)) for u, v in edges], dtype=np.int64)
         return np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0)
@@ -304,6 +342,10 @@ def check_path_table(q: int, p: int, budget: Budget) -> None:
                                   f"cap is {budget.max_paths}")
 
 
+# entries of the (q, p, p) path-count table looked up at once
+PATH_BLOCK_ENTRIES = 1 << 20
+
+
 def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
     """Layered path counts between collection endpoints, capped at 2.
 
@@ -316,6 +358,12 @@ def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
     ``budget.max_paths`` in rows made over the pass (the initial ones
     included) or in the q*p*p table's entries raises BudgetExceededError.
     """
+    return np.concatenate(list(_path_count_blocks(dup, budget)))
+
+
+def _path_count_blocks(dup: DupGraph, budget: Budget | None = None) -> Iterator[np.ndarray]:
+    """path_counts' table, a block of whole collections at a time: at most
+    PATH_BLOCK_ENTRIES entries a block, or one collection."""
     budget = budget or default_budget()
     paths, size = dup.paths, dup.layer_size
     q, p, layers = paths.shape
@@ -342,11 +390,14 @@ def path_counts(dup: DupGraph, budget: Budget | None = None) -> np.ndarray:
         cuts = np.flatnonzero(np.diff(key, prepend=-1))
         count = np.minimum(np.add.reduceat(merged, cuts), 2)
         src, vert = np.divmod(key[cuts], n)
-    # one (q, p, p) lookup: start of path j against the final of path h
-    found = src * n + vert
-    query = (np.searchsorted(starts, first) * n)[:, :, None] + (paths[..., -1] + n - size)[:, None, :]
-    pos = np.searchsorted(found, query)
-    return np.where(np.r_[found, -1][pos] == query, np.r_[count, 0][pos], 0)
+    # (rows, p, p) lookups: start of path j against the final of path h
+    found, count = np.r_[src * n + vert, -1], np.r_[count, 0]
+    tails, heads = np.searchsorted(starts, first) * n, paths[..., -1] + n - size
+    rows = max(1, PATH_BLOCK_ENTRIES // max(p * p, 1))
+    for lo in range(0, max(q, 1), rows):
+        query = tails[lo:lo + rows, :, None] + heads[lo:lo + rows, None, :]
+        pos = np.searchsorted(found[:-1], query)
+        yield np.where(found[pos] == query, count[pos], 0)
 
 
 def _recover_avg_free(dup: DupGraph) -> AvgFreeSet | None:
@@ -414,7 +465,10 @@ def verify_dup(dup: DupGraph, budget: Budget | None = None) -> VerificationRepor
     # path counts are the identity.  That makes the paths vertex-disjoint:
     # paths j != h through one vertex would join start j to final h.
     on_graph = (np.r_[keys, -1][np.searchsorted(keys, path_keys)] == path_keys).all(axis=(1, 2))
-    unique = (path_counts(dup, budget) == np.eye(p, dtype=np.int64)).all(axis=(1, 2))
+    # the identity: every diagonal entry 1, and entries (all >= 0) summing to p
+    unique = np.concatenate([(np.diagonal(block, axis1=1, axis2=2) == 1).all(axis=1)
+                             & (block.sum(axis=(1, 2)) == p)
+                             for block in _path_count_blocks(dup, budget)])
     bad = np.flatnonzero(~(in_range & on_graph & unique))
     report.add("unique_paths", not len(bad), f"collection {bad[0] + 1} fails" if len(bad) else "")
     return report

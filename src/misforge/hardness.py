@@ -19,11 +19,16 @@ the left copy on layers 1..2^r and the right copy on layers
 2^r+1..2^(r+1).  Block vertex (u, x) of outer vertex u and inner index
 x is (layer, u_index * w + x) with w the inner layer width.
 
-Storage: each player's edges are one sorted (m, 2) int64 array of flat
-ids (layer - 1) * layer_size + idx, smaller id first; nothing else stores
-an edge.  Assembly, checks, misr I/O and edge streams work on these
-arrays; ``inst.players[a]`` and ``inst.graph.edges`` are read-only set
-views over them (O(1) ``len``, (layer, idx) tuple pairs on iteration).
+Storage: edges are kept in flat ids (layer - 1) * layer_size + idx,
+each edge once.  Players 1..r each hold one sorted (m, 2) int64 array,
+smaller id first.  Player r+1's join is a ``Biclique(L, R)``: the sorted
+left-copy ids L off collection t's paths and their mirrors R = L + shift,
+|L| * |R| edges in 2 |L| words, never expanded by assembly, sampling or
+the misr reader.  ``check_properties``, the misr writer and reader and the
+streaming runners take it in closed form; other consumers ``expand()`` it
+to its sorted (m, 2) array.  A plain (m, 2) array is a valid join too.
+``inst.players[a]`` and ``inst.graph.edges`` are read-only set views over
+the sections (O(1) ``len``, (layer, idx) tuple pairs on iteration).
 
 Sampling is driven by a counter-based generator keyed by the position
 in the recursion tree, so resampling one sub-instance never perturbs
@@ -46,14 +51,17 @@ import numpy as np
 from .budgets import Budget, default_budget
 from .dupgraph import (
     DupGraph,
+    Biclique,
     EdgeView,
     LayeredGraph,
     build_dup,
     build_dup_from_size,
     check_key_range,
     edge_keys,
+    expand,
     pad_dup,
     path_lut,
+    stack_edges,
 )
 from .errors import (
     BudgetExceededError,
@@ -204,7 +212,7 @@ class Instance:
     the module docstring), ``graph.edges`` and ``players[a]`` view them."""
 
     r: int
-    player_edges: tuple[np.ndarray, ...]
+    player_edges: tuple[np.ndarray | Biclique, ...]
     t: int | None = None
     dup: DupGraph | None = None
     inner_layer_size: int | None = None
@@ -245,7 +253,7 @@ class Instance:
         vertices, and sub-instance (t, j)'s edges mapped onto them."""
         lut = path_lut(self.dup, self.t, j, self.inner_layer_size)
         lut += (side == "R") * self.half_layers * self.graph.layer_size
-        return lut, lut[np.concatenate(self.subinstance(self.t, j).player_edges)]
+        return lut, lut[stack_edges(self.subinstance(self.t, j).player_edges)]
 
 
 def _ascending(keys: np.ndarray) -> bool:
@@ -282,7 +290,7 @@ def _embedded_players(dup: DupGraph, w: int,
     for i, row in enumerate(subs, start=1):
         for j, sub in enumerate(row, start=1):
             lut = path_lut(dup, i, j, w)
-            mapped.append([lut[edges] for edges in sub.player_edges])
+            mapped.append([lut[expand(edges)] for edges in sub.player_edges])
     players = []
     for parts in zip(*mapped):      # one player's edges from every sub-instance
         left = np.concatenate(parts)
@@ -295,10 +303,8 @@ def _assemble(level: int, dup: DupGraph, w: int,
               subs: tuple[tuple[Instance, ...], ...], t: int) -> Instance:
     # edge-disjoint collections of vertex-disjoint paths map no two edges to one
     players = _embedded_players(dup, w, subs)
-    # the join L x R; every left id is below every right id, so it comes out sorted
     left = _nonspecial_left(dup, t, w)
-    right = left + dup.graph.num_layers * dup.graph.layer_size * w
-    players.append(np.column_stack([np.repeat(left, len(right)), np.tile(right, len(left))]))
+    players.append(Biclique(left, left + dup.graph.num_layers * dup.graph.layer_size * w))
     return Instance(r=level, player_edges=tuple(players), t=t, dup=dup,
                     inner_layer_size=w, subinstances=subs)
 
@@ -386,35 +392,48 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
     """Named structural checks, recursing into every sub-instance.
 
     Every check compares flat-id arrays.  Edges are handled as keys
-    u * n + v, so sorting keys sorts edges by (u, v)."""
+    u * n + v, so sorting keys sorts edges by (u, v).  A Biclique join
+    whose every edge crosses the copies is checked in closed form, on its
+    two id vectors and L/R masks, with the verdicts its expansion would
+    get; any other Biclique section is expanded."""
     report = VerificationReport()
 
     def walk(node: Instance, prefix: str) -> None:
         g, parts = node.graph, node.player_edges
         n, size = g.n_vertices, g.layer_size
+        shift = node.half_layers * size         # the right copy is the left one shifted
+        join = parts[-1]
+        closed = (isinstance(join, Biclique) and len(join) > 0
+                  and join.left.max() < shift <= join.right.min())
+        arrays = [expand(p) for p in (parts[:-1] if closed else parts)]
         layering = all(np.all((0 <= u) & (u < v) & (v < n) & (u // size != v // size))
-                       and _ascending(edge_keys(p, n)) for p in parts for u, v in [p.T])
+                       and _ascending(edge_keys(p, n)) for p in arrays for u, v in [p.T])
+        # a crossing L x R is sorted and in range iff L and R are
+        layering = layering and (not closed or _ascending(join.left) and _ascending(join.right)
+                                 and join.left[0] >= 0 and join.right[-1] < n)
         report.add(prefix + "layering", layering,
                    "malformed layered graph, or a player's edges are not sorted")
         if not layering:
             return      # every check below indexes by vertex id
-        every = np.sort(np.concatenate([edge_keys(p, n) for p in parts]))
-        report.add(prefix + "player_partition", _ascending(every),
+        every = np.sort(np.concatenate([np.empty(0, np.int64),
+                                        *(edge_keys(p, n) for p in arrays)]))
+        u, v = np.divmod(every, n)
+        if closed:
+            in_left, in_right = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+            in_left[join.left] = in_right[join.right] = True
+        report.add(prefix + "player_partition",
+                   _ascending(every) and not (closed and (in_left[u] & in_right[v]).any()),
                    "player edge sets do not partition the graph")
         if node.r == 0:
             report.add(prefix + "base_shape",
                        g.num_layers == 2 and len(parts) == 1 and node.base_bits is not None
-                       and np.array_equal(parts[0], _base_edges(node.base_bits)),
+                       and np.array_equal(expand(parts[0]), _base_edges(node.base_bits)),
                        "base instance disagrees with its bits")
             return
         report.add(prefix + "layer_count", g.num_layers == 2 ** (node.r + 1),
                    f"expected {2 ** (node.r + 1)} layers")
         report.add(prefix + "player_count", len(parts) == node.r + 1,
                    f"expected {node.r + 1} players")
-
-        # the right copy is the left one shifted by `shift` ids
-        shift = node.half_layers * size
-        u, v = np.divmod(every, n)
         report.add(prefix + "copies_identical",
                    np.array_equal(every[v < shift] + shift * (n + 1), every[u >= shift]),
                    "the two copies differ")
@@ -428,20 +447,21 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
         inside[special] = True
         union_special = np.sort(np.concatenate([edge_keys(edges, n) for _, edges in blocks]))
         report.add(prefix + "special_induced",
-                   np.array_equal(every[inside[u] & inside[v]], union_special),
+                   np.array_equal(every[inside[u] & inside[v]], union_special)
+                   and not (closed and inside[join.left].any() and inside[join.right].any()),
                    "induced subgraph on special blocks has foreign or missing edges")
-        del every, u, v     # the join test below is the peak on large instances
 
         w = node.inner_layer_size
         rebuilt = _embedded_players(node.dup, w, node.subinstances)
         for a in range(node.r):
             report.add(prefix + f"player_{a + 1}_from_subparts",
-                       a < len(parts) - 1 and np.array_equal(rebuilt[a], parts[a]),
+                       a < len(parts) - 1 and np.array_equal(rebuilt[a], arrays[a]),
                        "player input is not a function of its inner parts")
-        left, join = _nonspecial_left(node.dup, node.t, w), parts[-1]
-        # |L| * |R| pairs from L x R, distinct as the array is sorted: all of L x R
+        left = _nonspecial_left(node.dup, node.t, w)
+        # |left|^2 distinct (sorted) pairs from left x (left + shift): all of it
         sized = len(join) == len(left) ** 2
-        in_blocks = np.isin(join[:, 0], left).all() and np.isin(join[:, 1], left + shift).all()
+        tails, heads = (join.left, join.right) if closed else arrays[-1].T
+        in_blocks = np.isin(tails, left).all() and np.isin(heads, left + shift).all()
         report.add(prefix + "join_from_t", sized and bool(in_blocks),
                    "cross-copy join is not a function of t")
         report.add(prefix + "join_count", sized, "cross-copy join has the wrong size")
@@ -471,7 +491,7 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
 # level dimensions and the full choice tree, so the reader rebuilds the
 # instance deterministically.  Sections are written in blocks of
 # MISR_BLOCK_ROWS rows; the reader compares the same blocks, regenerated
-# from the rebuilt arrays, in place with the text, so a file as written is
+# from the rebuilt sections, in place with the text, so a file as written is
 # never parsed.  Any other text is parsed section by section.
 # ---------------------------------------------------------------------------
 
@@ -490,11 +510,21 @@ def _tree_of(inst: Instance) -> dict:
     return {"t": inst.t, "subs": [[_tree_of(sub) for sub in row] for row in inst.subinstances]}
 
 
-def _misr_blocks(edges: np.ndarray) -> Iterator[str]:
-    """misr lines "u v\\n" of an (m, 2) array of non-negative ids, at most
+def _misr_blocks(edges: np.ndarray | Biclique) -> Iterator[str]:
+    """misr lines "u v\\n" of an edge section of non-negative ids, at most
     MISR_BLOCK_ROWS rows per string: one str.join per run of equal u, over
-    " v\\n" strings made once per section."""
+    " v\\n" strings made once per section.  A Biclique's run for each u is
+    its row of R, so its lines need no (m, 2) array."""
     if not len(edges):
+        return
+    if isinstance(edges, Biclique):
+        heads, m = list(map(str, edges.left.tolist())), len(edges.right)
+        vs = [f" {v}\n" for v in edges.right.tolist()]
+        for lo in range(0, len(edges), MISR_BLOCK_ROWS):
+            # rows [lo, hi) lie in the runs of heads lo // m to (hi - 1) // m
+            hi = min(lo + MISR_BLOCK_ROWS, len(edges))
+            yield "".join(heads[i] + heads[i].join(vs[max(lo - i * m, 0):hi - i * m])
+                          for i in range(lo // m, -(-hi // m)))
         return
     tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
     for lo in range(0, len(edges), MISR_BLOCK_ROWS):
@@ -528,12 +558,15 @@ def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
 class ReadInstance:
     instance: Instance
     meta: dict
-    stored_players: tuple[np.ndarray, ...]     # each section as read, (m, 2) int64
+    # the rebuilt sections when the text is as written, else each section
+    # as parsed, (m, 2) int64
+    stored_players: tuple[np.ndarray | Biclique, ...]
 
     @property
     def matches(self) -> bool:
         stored, rebuilt = self.stored_players, self.instance.player_edges
-        return len(stored) == len(rebuilt) and all(map(np.array_equal, stored, rebuilt))
+        return stored is rebuilt or len(stored) == len(rebuilt) and all(
+            np.array_equal(a, expand(b)) for a, b in zip(stored, rebuilt))
 
 
 def _parse_section(text: str) -> np.ndarray:
@@ -565,7 +598,8 @@ def _parse_section(text: str) -> np.ndarray:
 _FRAME = re.compile(r"\s*(.*)\n?\s*(.*)\n?")
 
 
-def _written_sections(text: str, pos: int, end: int, players: tuple[np.ndarray, ...]) -> bool:
+def _written_sections(text: str, pos: int, end: int,
+                      players: tuple[np.ndarray | Biclique, ...]) -> bool:
     """True iff text[pos:end] is what ``write_instance`` writes for these
     player arrays, compared a header or a block at a time, in place."""
     for a, edges in enumerate(players, start=1):

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dupgraph import path_lut
+from .dupgraph import Biclique, path_lut
 from .errors import (
     BudgetExceededError,
     InconsistentMisError,
@@ -70,15 +70,27 @@ def is_mis(graph, candidate: Iterable) -> bool:
     return dominated == vset
 
 
-def _covers(edges: np.ndarray, chosen: np.ndarray) -> bool:
+def _covers(sections, chosen: np.ndarray) -> bool:
     """is_mis over flat ids: the vertices marked in the boolean mask chosen
-    are independent in the (m, 2) edge array and dominate every vertex."""
-    u, v = edges.T
-    if (chosen[u] & chosen[v]).any():
-        return False
+    are independent in the edge sections ((m, 2) arrays or Bicliques) and
+    dominate every vertex.  A Biclique has a chosen vertex on both sides
+    iff it has a chosen edge, and one on either side dominates the other."""
     dominated = chosen.copy()
-    dominated[v[chosen[u]]] = True
-    dominated[u[chosen[v]]] = True
+    for section in sections:
+        if isinstance(section, Biclique):
+            on_left, on_right = chosen[section.left].any(), chosen[section.right].any()
+            if on_left and on_right:
+                return False
+            if on_left:
+                dominated[section.right] = True
+            if on_right:
+                dominated[section.left] = True
+            continue
+        u, v = section.T
+        if (chosen[u] & chosen[v]).any():
+            return False
+        dominated[v[chosen[u]]] = True
+        dominated[u[chosen[v]]] = True
     return bool(dominated.all())
 
 
@@ -180,15 +192,14 @@ def extract_predicate_from_mis(inst, candidate: Iterable, seq: SearchSequence) -
     ids = [flat.get(v, -1) for v in set(candidate)]
     chosen = np.zeros(inst.graph.n_vertices, dtype=bool)
     chosen[ids] = True
-    if -1 in ids or not _covers(np.concatenate(inst.player_edges), chosen):
+    if -1 in ids or not _covers(inst.player_edges, chosen):
         raise NotAnMisError("candidate is not a maximal independent set of the instance")
     cur = inst
     for k in seq:
         sub = cur.subinstance(cur.t, k)
         lut = path_lut(cur.dup, cur.t, k, cur.inner_layer_size)
-        edges = np.concatenate(sub.player_edges)
         for shift in (0, cur.half_layers * cur.graph.layer_size):     # L copy, then R
-            if _covers(edges, chosen[lut + shift]):
+            if _covers(sub.player_edges, chosen[lut + shift]):
                 chosen = chosen[lut + shift]
                 break
         else:

@@ -7,16 +7,31 @@ of state retained between stream elements, one per vertex id, priority
 value or status entry and two per buffered edge.  O(1) counters are
 exempt; the output set is written to an output tape and not counted.
 
-A stream is a list of owner sections, each an ``(m, 2)`` int64 array of
-flat vertex ids.  A runner consumes one whole section per ``feed`` call
-with numpy kernels: Luby's select pass scatters the losers of its
-priority contests into a ``blocked`` mask, the retire passes are one
-mask scatter, and the storing passes filter and append the section.
-Before the first pass ``drive`` checks the stream once: every vertex id
-lies in ``[0, n)``, and there are no self loops and no duplicate edges;
-a violation raises ``InvalidInputError``.
+A stream is a list of owner sections of flat vertex ids.  A section is
+an ``(m, 2)`` int64 array, or a ``Biclique(L, R)``: every edge (u, v)
+with u in L and v in R, in row-major order, as a hard instance's
+cross-copy join is stored.  A runner consumes one whole section per
+``feed`` call with numpy kernels.  On an array, Luby's select pass
+scatters the losers of its priority contests into a ``blocked`` mask,
+the retire passes are one mask scatter, and the storing passes filter
+and append the section.  A Biclique takes each of these in closed form:
 
-Accounting stays exact at section granularity.  The snapshot never
+* select: a drawn vertex is blocked iff the other side's smallest drawn
+  (priority, id) beats it;
+* retire: if a vertex on one side was newly chosen, every undecided
+  vertex on the other side goes OUT;
+* residual store: the stored edges are sampled(L) x sampled(R), in
+  row-major order, expanded, as the array filter would keep them.
+
+Greedy's buffer and every other consumer expand the Biclique.  Before
+the first pass ``drive`` checks the stream once: every vertex id lies in
+``[0, n)``, and there are no self loops and no duplicate edges; a
+violation raises ``InvalidInputError``.  A Biclique is checked on its
+two id vectors, and the other sections' edges against its L/R masks.
+
+Accounting stays exact at section granularity, and a Biclique changes
+none of it: a runner's state after a Biclique section, and so every
+snapshot, is what the expanded section would leave.  The snapshot never
 shrinks within a section: blocked masks, stored edges and buffers only
 grow, and retire passes only rewrite status entries.  So the peak
 sampled at section boundaries equals the peak over every single edge.
@@ -38,6 +53,7 @@ from typing import IO, Callable, ClassVar, Iterable
 
 import numpy as np
 
+from .dupgraph import Biclique, expand, stack_edges
 from .errors import InvalidInputError, ScheduleError
 from .hardness import Instance, ToyParams, sample_instance
 from .oracle import _covers
@@ -67,8 +83,10 @@ def gnp_graph(n: int, p: float, seed: int) -> FlatGraph:
     return FlatGraph(n=n, edges=tuple(zip(us[mask].tolist(), vs[mask].tolist())))
 
 
-def _as_section(edges) -> np.ndarray:
-    """Edges, in the given order, as an (m, 2) int64 array."""
+def _as_section(edges) -> np.ndarray | Biclique:
+    """Edges, in the given order, as an (m, 2) int64 array; a Biclique as it is."""
+    if isinstance(edges, Biclique):
+        return edges
     if not isinstance(edges, np.ndarray):
         edges = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
     if edges.size % 2:
@@ -76,13 +94,67 @@ def _as_section(edges) -> np.ndarray:
     return edges.astype(np.int64, copy=False).reshape(-1, 2)
 
 
-def _stack(sections: list[np.ndarray]) -> np.ndarray:
-    """Sections, in order, as one (m, 2) array."""
-    return np.concatenate(sections or [np.empty((0, 2), np.int64)])
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """The values of a sorted vector that equal their predecessor."""
+    return values[1:][values[1:] == values[:-1]]
+
+
+def _duplicate(a: int, b: int) -> InvalidInputError:
+    return InvalidInputError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+
+
+def _check_sections(sections: list) -> int:
+    """The largest vertex id of a stream's sections, or -1 if there is
+    none, after raising InvalidInputError on a negative id, a self loop or
+    a duplicate edge.  Array edges are checked as keys lo * width + hi:
+    each section's are sorted only if they are not ascending already, and
+    several sections' are merged by one stable sort.  A Biclique is
+    checked on its id vectors (no repeat on a side, L and R disjoint), and
+    every other section's edges against its L/R masks, both ways round."""
+    arrays = [(np.minimum(s[:, 0], s[:, 1]), np.maximum(s[:, 0], s[:, 1]))
+              for s in sections if not isinstance(s, Biclique) and len(s)]
+    bicliques = [s for s in sections if isinstance(s, Biclique) and len(s)]
+    sides = [x for b in bicliques for x in (b.left, b.right)]
+    if not arrays and not sides:
+        return -1
+    low = min(int(x.min()) for x in [lo for lo, _ in arrays] + sides)
+    if low < 0:
+        raise InvalidInputError(f"vertex id {low} is negative")
+    loops = [lo[lo == hi] for lo, hi in arrays] + [np.intersect1d(b.left, b.right)
+                                                   for b in bicliques]
+    loops = np.concatenate(loops)
+    if len(loops):
+        raise InvalidInputError(f"self loop at {int(loops[0])}")
+    width = max(int(x.max()) for x in [hi for _, hi in arrays] + sides) + 1
+    keys = [lo * width + hi for lo, hi in arrays]
+    keys = [k if np.all(k[1:] >= k[:-1]) else np.sort(k) for k in keys]
+    keys = keys[0] if len(keys) == 1 else np.sort(
+        np.concatenate([np.empty(0, np.int64), *keys]), kind="stable")
+    again = _repeats(keys)
+    if len(again):
+        raise _duplicate(*divmod(int(again[0]), width))
+    for i, b in enumerate(bicliques):
+        for side, other in ((b.left, b.right), (b.right, b.left)):
+            again = _repeats(np.sort(side))
+            if len(again):
+                raise _duplicate(int(again[0]), int(other[0]))
+        in_left, in_right = np.zeros(width, dtype=bool), np.zeros(width, dtype=bool)
+        in_left[b.left] = in_right[b.right] = True
+        for lo, hi in arrays:
+            hit = (in_left[lo] & in_right[hi]) | (in_right[lo] & in_left[hi])
+            if hit.any():
+                raise _duplicate(int(lo[hit][0]), int(hi[hit][0]))
+        for c in bicliques[i + 1:]:
+            for ends, starts in ((c.left, c.right), (c.right, c.left)):
+                x, y = ends[in_left[ends]], starts[in_right[starts]]
+                if len(x) and len(y):
+                    raise _duplicate(int(x[0]), int(y[0]))
+    return width - 1
 
 
 class EdgeStream:
-    """A fixed edge order, split into per-owner (m, 2) int64 sections."""
+    """A fixed edge order, split into per-owner sections: (m, 2) int64
+    arrays or Bicliques."""
 
     def __init__(self, sections: Iterable):
         self.sections_list = [_as_section(s) for s in sections]
@@ -104,29 +176,18 @@ class EdgeStream:
     def from_instance(cls, inst: Instance, order: str = "player",
                       seed: int | None = None) -> "EdgeStream":
         """Each player's edges as (smaller, larger) flat-id pairs, sorted:
-        the instance's own player arrays, shared, not copied."""
+        the instance's own sections (arrays and the join's Biclique),
+        shared, not copied.  Other orders expand the join."""
         if order == "player":
             return cls(inst.player_edges)
-        return cls.from_edges(np.concatenate(inst.player_edges), order=order, seed=seed)
+        return cls.from_edges(stack_edges(inst.player_edges), order=order, seed=seed)
 
     def check(self, n: int) -> None:
         """Raise InvalidInputError unless every id is in [0, n) and no edge
-        is a self loop or a duplicate.  The scan runs once per stream."""
+        is a self loop or a duplicate (see _check_sections).  The scan runs
+        once per stream."""
         if self._max_id is None:
-            edges = _stack(self.sections_list)
-            lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-            if len(edges) and lo.min() < 0:
-                raise InvalidInputError(f"vertex id {int(lo.min())} is negative")
-            loops = lo[lo == hi]
-            if len(loops):
-                raise InvalidInputError(f"self loop at {int(loops[0])}")
-            width = int(hi.max()) + 1 if len(edges) else 0
-            keys = np.sort(lo * width + hi)
-            dups = keys[1:][keys[1:] == keys[:-1]]
-            if len(dups):
-                key = int(dups[0])
-                raise InvalidInputError(f"duplicate edge ({key // width}, {key % width})")
-            self._max_id = width - 1
+            self._max_id = _check_sections(self.sections_list)
         if self._max_id >= n:
             raise InvalidInputError(f"vertex id {self._max_id} is outside [0, {n})")
 
@@ -152,10 +213,15 @@ def _ids(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
-def _retire(status: np.ndarray, newly: np.ndarray, section: np.ndarray) -> None:
+def _retire(status: np.ndarray, newly: np.ndarray, section: np.ndarray | Biclique) -> None:
     """Retire pass over one section: undecided neighbors of newly chosen
     vertices leave.  Only UNDECIDED entries change, and only to OUT, so
     the order of the two scatters does not matter."""
+    if isinstance(section, Biclique):
+        for side, other in ((section.left, section.right), (section.right, section.left)):
+            if newly[side].any():
+                status[other[status[other] == UNDECIDED]] = OUT
+        return
     u, v = section[:, 0], section[:, 1]
     status[v[newly[u] & (status[v] == UNDECIDED)]] = OUT
     status[u[newly[v] & (status[u] == UNDECIDED)]] = OUT
@@ -211,8 +277,20 @@ class LubyMIS:
             self.prio[undecided] = self.rng.integers(0, 1 << 62, size=len(undecided))
             self.blocked[:] = False
 
-    def feed(self, section: np.ndarray) -> None:
-        if self.phase == "select":
+    def feed(self, section: np.ndarray | Biclique) -> None:
+        if self.phase != "select":
+            _retire(self.status, self.newly, section)
+        elif isinstance(section, Biclique):
+            # a drawn vertex loses to the other side's smallest drawn (prio, id)
+            for side, other in ((section.left, section.right), (section.right, section.left)):
+                rivals = other[self.drawn[other]]
+                if len(rivals):
+                    best = self.prio[rivals].min()
+                    best_id = rivals[self.prio[rivals] == best].min()
+                    mine = side[self.drawn[side]]
+                    pm = self.prio[mine]
+                    self.blocked[mine[(best < pm) | ((best == pm) & (best_id < mine))]] = True
+        else:
             # statuses are fixed during a select pass: drawn == undecided
             u, v = section[:, 0], section[:, 1]
             contest = self.drawn[u] & self.drawn[v]
@@ -220,8 +298,6 @@ class LubyMIS:
             pu, pv = self.prio[u], self.prio[v]
             u_wins = (pu < pv) | ((pu == pv) & (u < v))
             self.blocked[np.where(u_wins, v, u)] = True
-        else:
-            _retire(self.status, self.newly, section)
 
     def end_pass(self) -> None:
         if self.phase == "select":
@@ -316,12 +392,16 @@ class ResidualSparsityMIS:
         self.sampled[alive[order[:take]]] = True
         self.stored = []
 
-    def feed(self, section: np.ndarray) -> None:
-        if self.mode == "store":
+    def feed(self, section: np.ndarray | Biclique) -> None:
+        if self.mode != "store":
+            _retire(self.status, self.newly, section)
+        elif isinstance(section, Biclique):
+            left, right = section.left, section.right
+            self.stored.append(Biclique(left[self.sampled[left]],
+                                        right[self.sampled[right]]).expand())
+        else:
             self.stored.append(section[self.sampled[section[:, 0]]
                                        & self.sampled[section[:, 1]]])
-        else:
-            _retire(self.status, self.newly, section)
 
     def end_pass(self) -> None:
         if self.mode == "store":
@@ -329,7 +409,7 @@ class ResidualSparsityMIS:
             self._phase_peak = len(self.state_words())
             members = np.flatnonzero(self.sampled)
             order = self.rng.permutation(len(members))
-            self.newly = _greedy(members[order], _stack(self.stored),
+            self.newly = _greedy(members[order], stack_edges(self.stored),
                                  np.zeros(self.n, dtype=bool))
             self.status[self.sampled] = OUT
             self.status[self.newly] = IN_MIS
@@ -375,7 +455,7 @@ class BufferedGreedyMIS:
         self.n = n
         self.seed = seed
         self.rng = _rng(seed)
-        self.buffer: list[np.ndarray] = []      # the stream's sections, in order
+        self.buffer: list[np.ndarray] = []      # the stream's sections, expanded, in order
         self.chosen: frozenset[int] = frozenset()
         self._done = False
 
@@ -385,17 +465,17 @@ class BufferedGreedyMIS:
     def begin_pass(self) -> None:
         pass
 
-    def feed(self, section: np.ndarray) -> None:
-        self.buffer.append(section)
+    def feed(self, section: np.ndarray | Biclique) -> None:
+        self.buffer.append(expand(section))
 
     def end_pass(self) -> None:
-        edges = _stack(self.buffer)
+        edges = stack_edges(self.buffer)
         order = self.rng.permutation(self.n)
         self.chosen = _ids(_greedy(order, edges, np.zeros(self.n, dtype=bool)))
         self._done = True
 
     def state_words(self) -> np.ndarray:
-        return _stack(self.buffer).ravel()
+        return stack_edges(self.buffer).ravel()
 
     def result(self) -> frozenset[int]:
         return self.chosen
@@ -564,7 +644,6 @@ def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
     rows = []
     for entry in instances:
         n, r_field, stream, inst = _bench_graph(entry, budget)
-        edges = _stack(stream.sections_list)
         for desc in algorithms:
             for seed in seeds:
                 if inst is not None:
@@ -581,7 +660,7 @@ def tradeoff_bench(spec: dict, out: IO[str], budget=None) -> list[dict]:
                     "passes": report.passes,
                     "peak_words": report.peak_words,
                     "cc_bits": cc_bits,
-                    "mis_valid": _covers(edges, chosen),
+                    "mis_valid": _covers(stream.sections_list, chosen),
                     "seed": seed,
                 }
                 writer.writerow(row)

@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from misforge.dupgraph import expand
 from misforge.streaming import IN_MIS, OUT, UNDECIDED, parse_schedule
 
 FlatEdge = tuple[int, int]
@@ -34,7 +35,7 @@ def player_sections(inst) -> list[list[FlatEdge]]:
 
 def stream_edges(stream) -> list[FlatEdge]:
     """Every edge of a stream, section by section, as (u, v) tuples."""
-    return [(u, v) for section in stream.sections_list for u, v in section.tolist()]
+    return [(u, v) for section in stream.sections_list for u, v in expand(section).tolist()]
 
 
 def pack_words(words: list[int]) -> bytes:

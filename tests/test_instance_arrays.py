@@ -29,7 +29,7 @@ from misforge import (
     write_instance,
 )
 from misforge import hardness
-from misforge.dupgraph import edge_pairs
+from misforge.dupgraph import Biclique, edge_keys, edge_pairs, expand
 from misforge.hardness import EdgeView
 
 import instance_oracle as oracle
@@ -148,9 +148,10 @@ def test_join_membership_is_checked_not_only_its_size():
 def test_misr_roundtrip_keeps_arrays(shape):
     inst, _ = build_both(shape, 5)
     loaded = read_instance(io.StringIO(misr_text(inst, 5)))
-    assert loaded.matches
+    assert loaded.matches and isinstance(loaded.instance.player_edges[-1], Biclique)
     for stored, built in zip(loaded.stored_players, inst.player_edges):
-        assert stored.dtype == np.int64 and np.array_equal(stored, built)
+        stored = expand(stored)
+        assert stored.dtype == np.int64 and np.array_equal(stored, expand(built))
 
 
 MUTANTS = ["none", "leading_blank", "blank_line", "trailing_space", "join_id", "drop_line",
@@ -204,8 +205,8 @@ def outcome(read, text):
         loaded = read(io.StringIO(text))
     except Exception as exc:       # noqa: BLE001 - the error is the outcome
         return type(exc), str(exc)
-    return (loaded.meta, [(a.dtype, a.shape, a.tolist()) for a in loaded.stored_players],
-            loaded.matches)
+    stored = [(a.dtype, a.shape, a.tolist()) for a in map(expand, loaded.stored_players)]
+    return loaded.meta, stored, loaded.matches
 
 
 @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10_000),
@@ -241,11 +242,16 @@ def test_written_text_is_never_parsed(monkeypatch):
 
 
 def test_sections_are_written_in_blocks(monkeypatch):
-    """Blocks of a few rows give the same text as one block per section."""
+    """Blocks of a few rows give the same text as one block per section;
+    a join's blocks of 3 rows split its runs of |R| > 3 rows."""
     inst, _ = build_both((4, ((2, 1),)), 2)
     whole = misr_text(inst, 2)
+    join = inst.player_edges[-1]
+    assert isinstance(join, Biclique) and len(join.right) > 3
     monkeypatch.setattr(hardness, "MISR_BLOCK_ROWS", 3)
-    assert len(list(hardness._misr_blocks(inst.player_edges[-1]))) > 1
+    blocks = list(hardness._misr_blocks(join))
+    assert len(blocks) > 1 and all(block.count("\n") <= 3 for block in blocks)
+    assert "".join(blocks) == "".join(hardness._misr_blocks(join.expand()))
     assert misr_text(inst, 2) == whole
     loaded = read_instance(io.StringIO(whole))
     assert loaded.stored_players is loaded.instance.player_edges
@@ -271,15 +277,26 @@ def test_flat_edges_from_the_flat_arrays():
 
 
 def test_instance_stores_only_flat_arrays():
+    """Players 1..r are sorted int64 (m, 2) arrays, the join is a Biclique
+    of two sorted int64 vectors, and no edge is stored twice."""
     names = {f.name for f in dataclasses.fields(Instance)}
     assert "provenance" not in names and "players" not in names and "graph" not in names
-    inst, _ = build_both((4, ((2, 1),)), 3)
-    for part in inst.player_edges:
-        assert part.dtype == np.int64 and part.ndim == 2 and part.shape[1] == 2
-        keys = part[:, 0] * inst.graph.n_vertices + part[:, 1]
-        assert np.all(part[:, 0] < part[:, 1]) and np.all(np.diff(keys) > 0)
-    assert isinstance(inst.graph.edges, EdgeView)
-    assert all(isinstance(p, EdgeView) for p in inst.players)
+    for shape in [(4, ((2, 1),)), (2, ((2, 1), (1, 1)))]:
+        inst, _ = build_both(shape, 3)
+        n = inst.graph.n_vertices
+        *players, join = inst.player_edges
+        assert len(players) == inst.r
+        for part in players:
+            assert part.dtype == np.int64 and part.ndim == 2 and part.shape[1] == 2
+            keys = part[:, 0] * n + part[:, 1]
+            assert np.all(part[:, 0] < part[:, 1]) and np.all(np.diff(keys) > 0)
+        assert isinstance(join, Biclique) and join.left[-1] < join.right[0]
+        for ids in (join.left, join.right):
+            assert ids.dtype == np.int64 and ids.ndim == 1 and np.all(np.diff(ids) > 0)
+        every = np.sort(np.concatenate([edge_keys(expand(p), n) for p in inst.player_edges]))
+        assert np.all(np.diff(every) > 0)
+        assert isinstance(inst.graph.edges, EdgeView)
+        assert all(isinstance(p, EdgeView) for p in inst.players)
 
 
 def test_edge_view_is_a_read_only_set():
@@ -305,4 +322,6 @@ def test_edge_view_is_a_read_only_set():
 def test_stream_shares_the_player_arrays():
     inst, _ = build_both((4, ((2, 1),)), 3)
     stream = EdgeStream.from_instance(inst, order="player")
-    assert all(np.shares_memory(s, p) for s, p in zip(stream.sections_list, inst.player_edges))
+    *players, join = stream.sections_list
+    assert all(np.shares_memory(s, p) for s, p in zip(players, inst.player_edges))
+    assert join is inst.player_edges[-1] and isinstance(join, Biclique)

@@ -77,7 +77,7 @@ def test_covers_matches_is_mis(n, data):
     cand = set(np.flatnonzero(chosen).tolist())
     want = brute_is_mis(range(n), edges, cand)
     assert is_mis((range(n), edges), cand) == want
-    assert _covers(np.array(edges, dtype=np.int64).reshape(-1, 2), chosen) is want
+    assert _covers([np.array(edges, dtype=np.int64).reshape(-1, 2)], chosen) is want
 
 
 # -- exhaustive enumeration ---------------------------------------------------
