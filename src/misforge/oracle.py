@@ -144,6 +144,8 @@ def greedy_mis(graph, order: Iterable) -> frozenset:
         raise InvalidInputError("order must be a permutation of the vertex set")
     adj: dict = {v: set() for v in vertices}
     for u, v in edges:
+        if u not in adj or v not in adj:
+            raise InvalidInputError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
         adj[u].add(v)
         adj[v].add(u)
     chosen: set = set()

@@ -11,22 +11,30 @@ A stream is a list of owner sections of flat vertex ids.  A section is
 an ``(m, 2)`` int64 array, or a ``Biclique(L, R)``: every edge (u, v)
 with u in L and v in R, in row-major order, as a hard instance's
 cross-copy join is stored.  A runner consumes one whole section per
-``feed`` call with numpy kernels.  On an array, Luby's select pass
-scatters the losers of its priority contests into a ``blocked`` mask,
-the retire passes are one mask scatter, and the storing passes filter
-and append the section.  A Biclique takes each of these in closed form:
+``feed`` call with numpy kernels.  Every MIS decision is made by one
+pair of section kernels: ``_select`` scatters the losers of the
+(priority, id) contests between undecided neighbours into a ``blocked``
+mask, and ``_retire`` sends the undecided neighbours of newly chosen
+vertices OUT.  Luby's rounds run them on random priorities, one pass
+each.  Random-order greedy (the buffered runner, and each residual
+phase on its sample) runs them on its stored sections, in memory, with
+the rank in the order as a fixed priority.  The rounds take exactly the
+vertices that the sequential visit takes: a vertex that beats every
+undecided neighbour has only OUT neighbours earlier in the order, so
+the visit takes it too, and a retired vertex has a taken neighbour.  A
+Biclique takes both kernels in closed form:
 
 * select: a drawn vertex is blocked iff the other side's smallest drawn
   (priority, id) beats it;
 * retire: if a vertex on one side was newly chosen, every undecided
-  vertex on the other side goes OUT;
-* residual store: the stored edges are sampled(L) x sampled(R), in
-  row-major order, expanded, as the array filter would keep them.
+  vertex on the other side goes OUT.
 
-Greedy's buffer and every other consumer expand the Biclique.  Before
-the first pass ``drive`` checks the stream once: every vertex id lies in
-``[0, n)``, and there are no self loops and no duplicate edges; a
-violation raises ``InvalidInputError``.  A Biclique is checked on its
+The storing passes filter and append the section; a Biclique is stored
+as one, sampled(L) x sampled(R) for residual.  Only snapshots expand a
+stored Biclique, into the edges the expanded section would have left.
+Before the first pass ``drive`` checks the stream once: every vertex id
+lies in ``[0, n)``, and there are no self loops and no duplicate edges;
+a violation raises ``InvalidInputError``.  A Biclique is checked on its
 two id vectors, and the other sections' edges against its L/R masks.
 
 Accounting stays exact at section granularity, and a Biclique changes
@@ -167,7 +175,7 @@ class EdgeStream:
         if order == "random":
             if seed is None:
                 raise InvalidInputError("random order needs a seed")
-            edges = edges[_rng(seed).permutation(len(edges))]
+            edges = expand(edges)[_rng(seed).permutation(len(edges))]
         elif order != "file":
             raise InvalidInputError(f"unknown order {order!r} for a plain edge list")
         return cls([edges])
@@ -213,6 +221,29 @@ def _ids(mask: np.ndarray) -> frozenset[int]:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def _select(section: np.ndarray | Biclique, drawn: np.ndarray, prio: np.ndarray,
+            blocked: np.ndarray) -> None:
+    """Select pass over one section: a drawn vertex that loses a contest
+    with a drawn neighbour, by smaller (prio, id), is blocked."""
+    if isinstance(section, Biclique):
+        # a drawn vertex loses to the other side's smallest drawn (prio, id)
+        for side, other in ((section.left, section.right), (section.right, section.left)):
+            rivals = other[drawn[other]]
+            if len(rivals):
+                best = prio[rivals].min()
+                best_id = rivals[prio[rivals] == best].min()
+                mine = side[drawn[side]]
+                pm = prio[mine]
+                blocked[mine[(best < pm) | ((best == pm) & (best_id < mine))]] = True
+        return
+    u, v = section[:, 0], section[:, 1]
+    contest = drawn[u] & drawn[v]
+    u, v = u[contest], v[contest]
+    pu, pv = prio[u], prio[v]
+    u_wins = (pu < pv) | ((pu == pv) & (u < v))
+    blocked[np.where(u_wins, v, u)] = True
+
+
 def _retire(status: np.ndarray, newly: np.ndarray, section: np.ndarray | Biclique) -> None:
     """Retire pass over one section: undecided neighbors of newly chosen
     vertices leave.  Only UNDECIDED entries change, and only to OUT, so
@@ -227,20 +258,24 @@ def _retire(status: np.ndarray, newly: np.ndarray, section: np.ndarray | Bicliqu
     status[u[newly[v] & (status[u] == UNDECIDED)]] = OUT
 
 
-def _greedy(order: np.ndarray, edges: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Visit ``order``; take each vertex neither in ``skip`` nor adjacent to
-    one taken before.  ``skip`` is updated in place; returns the taken mask."""
-    n = len(skip)
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    nbrs = np.concatenate([edges[:, 1], edges[:, 0]])[np.argsort(ends, kind="stable")]
-    start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))]).tolist()
-    taken = np.zeros(n, dtype=bool)
-    for v in order.tolist():
-        if skip[v]:
-            continue
-        taken[v] = True
-        skip[nbrs[start[v]:start[v + 1]]] = True
-    return taken
+def _greedy(order: np.ndarray, sections: list, n: int) -> np.ndarray:
+    """The mask of what greedy takes visiting ``order`` over ``sections``:
+    rounds of ``_select`` and ``_retire``, the rank in ``order`` as priority,
+    the other vertices OUT.  The undecided vertex of least rank is never
+    blocked, so without self loops each round decides at least one."""
+    status = np.full(n, OUT, dtype=np.int8)
+    status[order] = UNDECIDED
+    prio = np.zeros(n, dtype=np.int64)
+    prio[order] = np.arange(len(order))
+    while (drawn := status == UNDECIDED).any():
+        blocked = np.zeros(n, dtype=bool)
+        for section in sections:
+            _select(section, drawn, prio, blocked)
+        newly = drawn & ~blocked
+        status[newly] = IN_MIS
+        for section in sections:
+            _retire(status, newly, section)
+    return status == IN_MIS
 
 
 class LubyMIS:
@@ -278,26 +313,11 @@ class LubyMIS:
             self.blocked[:] = False
 
     def feed(self, section: np.ndarray | Biclique) -> None:
-        if self.phase != "select":
-            _retire(self.status, self.newly, section)
-        elif isinstance(section, Biclique):
-            # a drawn vertex loses to the other side's smallest drawn (prio, id)
-            for side, other in ((section.left, section.right), (section.right, section.left)):
-                rivals = other[self.drawn[other]]
-                if len(rivals):
-                    best = self.prio[rivals].min()
-                    best_id = rivals[self.prio[rivals] == best].min()
-                    mine = side[self.drawn[side]]
-                    pm = self.prio[mine]
-                    self.blocked[mine[(best < pm) | ((best == pm) & (best_id < mine))]] = True
-        else:
+        if self.phase == "select":
             # statuses are fixed during a select pass: drawn == undecided
-            u, v = section[:, 0], section[:, 1]
-            contest = self.drawn[u] & self.drawn[v]
-            u, v = u[contest], v[contest]
-            pu, pv = self.prio[u], self.prio[v]
-            u_wins = (pu < pv) | ((pu == pv) & (u < v))
-            self.blocked[np.where(u_wins, v, u)] = True
+            _select(section, self.drawn, self.prio, self.blocked)
+        else:
+            _retire(self.status, self.newly, section)
 
     def end_pass(self) -> None:
         if self.phase == "select":
@@ -366,7 +386,7 @@ class ResidualSparsityMIS:
         self.phase_idx = 0
         self.mode = "store"
         self.sampled = np.zeros(n, dtype=bool)
-        self.stored: list[np.ndarray] = []      # (m, 2) chunks in stream order
+        self.stored: list = []      # (m, 2) chunks and Bicliques in stream order
         self.newly = np.zeros(n, dtype=bool)
         self.phase_peaks: list[int] = []
         self.alive_after: list[frozenset[int]] = []
@@ -397,8 +417,7 @@ class ResidualSparsityMIS:
             _retire(self.status, self.newly, section)
         elif isinstance(section, Biclique):
             left, right = section.left, section.right
-            self.stored.append(Biclique(left[self.sampled[left]],
-                                        right[self.sampled[right]]).expand())
+            self.stored.append(Biclique(left[self.sampled[left]], right[self.sampled[right]]))
         else:
             self.stored.append(section[self.sampled[section[:, 0]]
                                        & self.sampled[section[:, 1]]])
@@ -409,8 +428,7 @@ class ResidualSparsityMIS:
             self._phase_peak = len(self.state_words())
             members = np.flatnonzero(self.sampled)
             order = self.rng.permutation(len(members))
-            self.newly = _greedy(members[order], stack_edges(self.stored),
-                                 np.zeros(self.n, dtype=bool))
+            self.newly = _greedy(members[order], self.stored, self.n)
             self.status[self.sampled] = OUT
             self.status[self.newly] = IN_MIS
             self.stored = []
@@ -432,7 +450,7 @@ class ResidualSparsityMIS:
 
     def state_words(self) -> np.ndarray:
         return np.concatenate([self.status, np.flatnonzero(self.sampled),
-                               *(chunk.ravel() for chunk in self.stored),
+                               *(expand(chunk).ravel() for chunk in self.stored),
                                np.flatnonzero(self.newly)], dtype=np.int64)
 
     def result(self) -> frozenset[int]:
@@ -455,7 +473,7 @@ class BufferedGreedyMIS:
         self.n = n
         self.seed = seed
         self.rng = _rng(seed)
-        self.buffer: list[np.ndarray] = []      # the stream's sections, expanded, in order
+        self.buffer: list = []      # the stream's sections, in order
         self.chosen: frozenset[int] = frozenset()
         self._done = False
 
@@ -466,12 +484,10 @@ class BufferedGreedyMIS:
         pass
 
     def feed(self, section: np.ndarray | Biclique) -> None:
-        self.buffer.append(expand(section))
+        self.buffer.append(section)
 
     def end_pass(self) -> None:
-        edges = stack_edges(self.buffer)
-        order = self.rng.permutation(self.n)
-        self.chosen = _ids(_greedy(order, edges, np.zeros(self.n, dtype=bool)))
+        self.chosen = _ids(_greedy(self.rng.permutation(self.n), self.buffer, self.n))
         self._done = True
 
     def state_words(self) -> np.ndarray:
@@ -605,11 +621,16 @@ def simulate_protocol_from_stream(desc: str, inst: Instance, seed: int) -> Simul
 BENCH_FIELDS = ("n", "r", "algorithm", "passes", "peak_words", "cc_bits", "mis_valid", "seed")
 
 
+def _is(value, kind) -> bool:
+    """isinstance, except that a bool is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _spec_value(obj: dict, key: str, kind, default=None, item=None):
     """obj[key], or default when absent, if it is a kind (a list of item if
     item is given); otherwise InvalidInputError naming the field."""
     value = obj.get(key, default)
-    if not isinstance(value, kind) or item and not all(isinstance(x, item) for x in value):
+    if not _is(value, kind) or item and not all(_is(x, item) for x in value):
         raise InvalidInputError(f"bench spec field {key!r} has a bad value {value!r}")
     return value
 
@@ -624,7 +645,7 @@ def _bench_graph(entry: dict, budget=None) -> tuple[int, int | str, EdgeStream, 
         return g.n, "", EdgeStream.from_edges(g.edges), None
     if kind == "hard":
         levels = _spec_value(entry, "toy", list, item=list)
-        if not all(len(x) == 2 and all(isinstance(y, int) for y in x) for x in levels):
+        if not all(len(x) == 2 and all(_is(y, int) for y in x) for x in levels):
             raise InvalidInputError(f"bench spec field 'toy' has a bad value {levels!r}")
         toy = ToyParams(n_0=_spec_value(entry, "n0", int), levels=tuple(map(tuple, levels)))
         inst = sample_instance(toy.r, toy, seed, budget)

@@ -4,7 +4,9 @@ These are the runners one edge at a time, with Python sets and dicts for
 state and one ``step`` call per edge.  ``misforge.streaming`` processes a
 whole owner section per call with numpy; the differential tests in
 ``test_stream_kernels.py`` require both to agree on every output, pass
-count, peak, extra and snapshot byte.
+count, peak, extra and snapshot byte.  ``csr_greedy`` is the sequential
+greedy visit over a CSR adjacency that ``streaming._greedy`` computes in
+select/retire rounds.
 """
 
 from __future__ import annotations
@@ -327,3 +329,19 @@ def drive(alg, sections: list[list[FlatEdge]], hook=None) -> dict:
         "output": alg.result(),
         "extras": alg.extras(),
     }
+
+
+def csr_greedy(order: np.ndarray, edges: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Visit ``order``; take each vertex neither in ``skip`` nor adjacent to
+    one taken before.  ``skip`` is updated in place; returns the taken mask."""
+    n = len(skip)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    nbrs = np.concatenate([edges[:, 1], edges[:, 0]])[np.argsort(ends, kind="stable")]
+    start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))]).tolist()
+    taken = np.zeros(n, dtype=bool)
+    for v in order.tolist():
+        if skip[v]:
+            continue
+        taken[v] = True
+        skip[nbrs[start[v]:start[v + 1]]] = True
+    return taken

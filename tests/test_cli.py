@@ -242,6 +242,19 @@ def test_bad_bench_spec(tmp_path):
       "seeds": ["a"]}, "'seeds'"),
     ({"instances": [{"kind": "hard", "n0": 4, "toy": [[1, "x"]]}], "algorithms": ["luby"],
       "seeds": [1]}, "'toy'"),
+    # a bool is not a number, though Python counts it as an int
+    ({"instances": [{"kind": "gnp", "n": True, "p": 0.3}], "algorithms": ["luby"],
+      "seeds": [1]}, "'n'"),
+    ({"instances": [{"kind": "gnp", "n": 8, "p": 0.3}], "algorithms": ["luby"],
+      "seeds": [True]}, "'seeds'"),
+    ({"instances": [{"kind": "gnp", "n": 8, "p": 0.3, "graph_seed": False}],
+      "algorithms": ["luby"], "seeds": [1]}, "'graph_seed'"),
+    ({"instances": [{"kind": "gnp", "n": 8, "p": True}], "algorithms": ["luby"],
+      "seeds": [1]}, "'p'"),
+    ({"instances": [{"kind": "hard", "n0": 4, "toy": [[True, 1]]}], "algorithms": ["luby"],
+      "seeds": [1]}, "'toy'"),
+    ({"instances": [{"kind": "hard", "n0": True, "toy": [[1, 1]]}], "algorithms": ["luby"],
+      "seeds": [1]}, "'n0'"),
 ])
 def test_bad_bench_spec_fields(tmp_path, capsys, spec, field):
     path = tmp_path / "spec.json"

@@ -156,6 +156,11 @@ def test_greedy_requires_permutation():
         greedy_mis(PATH3, ("a", "b"))
 
 
+def test_greedy_refuses_an_edge_off_the_vertex_set():
+    with pytest.raises(InvalidInputError, match=r"edge \(1, 3\)"):
+        greedy_mis(([1, 2], [(1, 3)]), [1, 2])
+
+
 @given(n=st.integers(1, 10), data=st.data())
 @settings(deadline=None, max_examples=60)
 def test_greedy_outputs_mis(n, data):
