@@ -90,11 +90,12 @@ class Biclique:
     def __len__(self) -> int:
         return len(self.left) * len(self.right)
 
-    def expand(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array, row-major in (u, v): sorted."""
-        edges = np.empty((len(self.left), len(self.right), 2), dtype=np.int64)
-        edges[..., 0] = self.left[:, None]
-        edges[..., 1] = self.right
+    def expand(self, dtype=np.int64) -> np.ndarray:
+        """The edges as an (m, 2) array, row-major in (u, v): sorted.  The
+        sides are cast to dtype before they are broadcast."""
+        edges = np.empty((len(self.left), len(self.right), 2), dtype=dtype)
+        edges[..., 0] = self.left.astype(dtype, copy=False)[:, None]
+        edges[..., 1] = self.right.astype(dtype, copy=False)
         return edges.reshape(-1, 2)
 
 

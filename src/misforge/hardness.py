@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import IO, Callable, Iterator
 
 import numpy as np
@@ -489,10 +489,14 @@ def check_properties(inst: Instance, recurse: bool = True) -> VerificationReport
 # Flat id of (layer, idx) is (layer-1) * layer_size + idx; the left copy
 # occupies the first half of the layer range.  The metadata carries the
 # level dimensions and the full choice tree, so the reader rebuilds the
-# instance deterministically.  Sections are written in blocks of
-# MISR_BLOCK_ROWS rows; the reader compares the same blocks, regenerated
-# from the rebuilt sections, in place with the text, so a file as written is
-# never parsed.  Any other text is parsed section by section.
+# instance deterministically.  Sections are written in blocks of at most
+# MISR_BLOCK_ROWS rows (``_misr_blocks``): a Biclique's from numpy bytes,
+# one row template per width run of L with the head digits written through
+# strided views; an array's by str.join per run of equal u.  The reader
+# regenerates the same blocks from the rebuilt sections and compares them
+# in place with the text (``str.startswith`` at an offset, no copy), so a
+# file as written is never parsed.  In any other text, each section that
+# compares equal keeps the rebuilt one and only the others are parsed.
 # ---------------------------------------------------------------------------
 
 MISR_BLOCK_ROWS = 1 << 16
@@ -510,21 +514,56 @@ def _tree_of(inst: Instance) -> dict:
     return {"t": inst.t, "subs": [[_tree_of(sub) for sub in row] for row in inst.subinstances]}
 
 
+_POWERS = 10 ** np.arange(19, dtype=np.int64)      # 10^0 .. 10^18
+
+
+def _width_runs(ids: np.ndarray) -> Iterator[np.ndarray]:
+    """The ASCII digits of each run of ids of one decimal width w, in order,
+    as a (run length, w) uint8 array; ids are sorted and non-negative."""
+    cuts = [0, *np.searchsorted(ids, _POWERS[1:]).tolist(), len(ids)]
+    for w, (a, b) in enumerate(zip(cuts, cuts[1:]), start=1):
+        if a < b:
+            yield (ids[a:b, None] // _POWERS[w - 1::-1] % 10 + 48).astype(np.uint8)
+
+
+def _join_blocks(join: Biclique) -> Iterator[str]:
+    """A Biclique's misr lines from numpy bytes.  For each run of L ids of
+    one decimal width w, a row template holds R's " v\\n" tails behind w
+    placeholder bytes per line.  A block broadcasts it over a chunk of L
+    rows, then writes each head digit column through a strided view: in a
+    run of R ids of one width every line has the same length.  A row
+    longer than MISR_BLOCK_ROWS lines goes out in pieces of that many."""
+    m, rows = len(join.right), MISR_BLOCK_ROWS
+    tails = [np.column_stack([np.full(len(d), 32, np.uint8), d, np.full(len(d), 10, np.uint8)])
+             for d in _width_runs(join.right)]
+    for heads in _width_runs(join.left):
+        w = heads.shape[1]
+        lines = [np.column_stack([np.zeros((len(t), w), np.uint8), t]) for t in tails]
+        template = np.concatenate([x.ravel() for x in lines])
+        run_at = np.cumsum([0, *(x.size for x in lines)])   # each R run's first byte
+        widths = np.repeat([x.shape[1] for x in lines], [len(x) for x in lines])
+        line_at = np.concatenate([[0], np.cumsum(widths)])  # each line's first byte
+        per = max(rows // m, 1)
+        for i in range(0, len(heads), per):
+            part = heads[i:i + per]
+            chunk = np.empty((len(part), len(template)), dtype=np.uint8)
+            chunk[:] = template
+            for at, x in zip(run_at, lines):
+                for d in range(w):
+                    chunk[:, at + d:at + x.size:x.shape[1]] = part[:, d, None]
+            for lo in range(0, m, rows):    # one piece unless m > rows, and then one row
+                yield str(chunk[:, line_at[lo]:line_at[min(lo + rows, m)]], "ascii")
+
+
 def _misr_blocks(edges: np.ndarray | Biclique) -> Iterator[str]:
     """misr lines "u v\\n" of an edge section of non-negative ids, at most
-    MISR_BLOCK_ROWS rows per string: one str.join per run of equal u, over
-    " v\\n" strings made once per section.  A Biclique's run for each u is
-    its row of R, so its lines need no (m, 2) array."""
+    MISR_BLOCK_ROWS rows per string.  A Biclique's come from
+    ``_join_blocks``; an array's from one str.join per run of equal u, over
+    " v\\n" strings made once per section."""
     if not len(edges):
         return
     if isinstance(edges, Biclique):
-        heads, m = list(map(str, edges.left.tolist())), len(edges.right)
-        vs = [f" {v}\n" for v in edges.right.tolist()]
-        for lo in range(0, len(edges), MISR_BLOCK_ROWS):
-            # rows [lo, hi) lie in the runs of heads lo // m to (hi - 1) // m
-            hi = min(lo + MISR_BLOCK_ROWS, len(edges))
-            yield "".join(heads[i] + heads[i].join(vs[max(lo - i * m, 0):hi - i * m])
-                          for i in range(lo // m, -(-hi // m)))
+        yield from _join_blocks(edges)
         return
     tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
     for lo in range(0, len(edges), MISR_BLOCK_ROWS):
@@ -558,15 +597,15 @@ def write_instance(inst: Instance, fh: IO[str], seed: int | None = None,
 class ReadInstance:
     instance: Instance
     meta: dict
-    # the rebuilt sections when the text is as written, else each section
-    # as parsed, (m, 2) int64
+    # the rebuilt sections when the text is as written; else each section
+    # whose lines are as written as rebuilt, the others as parsed, (m, 2) int64
     stored_players: tuple[np.ndarray | Biclique, ...]
 
     @property
     def matches(self) -> bool:
         stored, rebuilt = self.stored_players, self.instance.player_edges
         return stored is rebuilt or len(stored) == len(rebuilt) and all(
-            np.array_equal(a, expand(b)) for a, b in zip(stored, rebuilt))
+            a is b or np.array_equal(a, expand(b)) for a, b in zip(stored, rebuilt))
 
 
 def _parse_section(text: str) -> np.ndarray:
@@ -598,16 +637,18 @@ def _parse_section(text: str) -> np.ndarray:
 _FRAME = re.compile(r"\s*(.*)\n?\s*(.*)\n?")
 
 
-def _written_sections(text: str, pos: int, end: int,
-                      players: tuple[np.ndarray | Biclique, ...]) -> bool:
-    """True iff text[pos:end] is what ``write_instance`` writes for these
-    player arrays, compared a header or a block at a time, in place."""
-    for a, edges in enumerate(players, start=1):
-        for chunk in chain((f"player {a}\n",), _misr_blocks(edges)):
-            if not text.startswith(chunk, pos, end):
-                return False
-            pos += len(chunk)
-    return pos == end
+# a line whose first token is "player", where the parser starts a section
+_HEADER = re.compile(r"^[^\S\n]*player\b", re.M)
+
+
+def _written_end(text: str, pos: int, end: int, edges: np.ndarray | Biclique) -> int:
+    """Where the misr lines of edges end if text[pos:end] starts with them,
+    else -1, compared a block at a time, in place."""
+    for chunk in _misr_blocks(edges):
+        if not text.startswith(chunk, pos, end):
+            return -1
+        pos += len(chunk)
+    return pos
 
 
 def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
@@ -649,25 +690,38 @@ def read_instance(fh: IO[str], budget: Budget | None = None) -> ReadInstance:
     if levels != built:
         raise FormatError(f"level entries {levels!r} are not the levels they build, {built!r}")
     inst = build_instance(plans, n0, meta["tree"])
-    if _written_sections(text, body, last + 1, inst.player_edges):
-        return ReadInstance(instance=inst, meta=meta, stored_players=inst.player_edges)
-    # any other text: split before every line whose first token is "player";
-    # each chunk then lacks the newline that ended it
-    preamble, *chunks = re.split(r"\n(?=[^\S\n]*player\b)", "\n" + text[body:last])
+    # a section runs from a line whose first token is "player" to the newline
+    # before the next one.  A section as written, compared in place, keeps
+    # the rebuilt one; only the others are parsed.
+    rebuilt, sections = inst.player_edges, []
+    found = _HEADER.search(text, body, last)
+    preamble = text[body:found.start() if found else last]
     if preamble.strip():
         raise FormatError(f"unexpected line {preamble.strip().splitlines()[0]!r}")
-    sections = []
-    for k, chunk in enumerate(chunks, start=1):
-        header, _, edges = chunk.partition("\n")
+    while found:
+        k, start = len(sections) + 1, found.start()
+        written = f"player {k}\n"
+        if k <= len(rebuilt) and text.startswith(written, start, last + 1):
+            stop = _written_end(text, start + len(written), last + 1, rebuilt[k - 1])
+            after = _HEADER.match(text, stop, last) if 0 < stop <= last else None
+            if stop == last + 1 or after:
+                sections.append(rebuilt[k - 1])
+                found = after
+                continue
+        eol = text.find("\n", start, last)
+        eol = last if eol < 0 else eol
+        header = text[start:eol]
         parts = header.split()
         try:
             if parts[0] != "player" or len(parts) != 2 or int(parts[1]) != k:
                 raise ValueError
         except ValueError:
             raise FormatError(f"unexpected section header {header!r}") from None
+        found = _HEADER.search(text, eol + 1, last)
+        edges = text[eol + 1:found.start() - 1 if found else last]
         sections.append(_parse_section(edges + "\n" if edges else ""))
-    if len(sections) != len(inst.player_edges):
-        raise FormatError(
-            f"expected {len(inst.player_edges)} player sections, found {len(sections)}"
-        )
+    if len(sections) != len(rebuilt):
+        raise FormatError(f"expected {len(rebuilt)} player sections, found {len(sections)}")
+    if all(map(operator.is_, sections, rebuilt)):
+        return ReadInstance(instance=inst, meta=meta, stored_players=rebuilt)
     return ReadInstance(instance=inst, meta=meta, stored_players=tuple(sections))

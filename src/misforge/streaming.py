@@ -6,6 +6,8 @@ its snapshot ``state_words()``: an int64 array with one entry per word
 of state retained between stream elements, one per vertex id, priority
 value or status entry and two per buffered edge.  O(1) counters are
 exempt; the output set is written to an output tape and not counted.
+``words()`` counts the snapshot in closed form, so ``drive``'s peak
+builds none; a snapshot is made only for a hook, as ``message()``.
 
 A stream is a list of owner sections of flat vertex ids.  A section is
 an ``(m, 2)`` int64 array, or a ``Biclique(L, R)``: every edge (u, v)
@@ -31,7 +33,8 @@ Biclique takes both kernels in closed form:
 
 The storing passes filter and append the section; a Biclique is stored
 as one, sampled(L) x sampled(R) for residual.  Only snapshots expand a
-stored Biclique, into the edges the expanded section would have left.
+stored Biclique, into the edges the expanded section would have left;
+``words()`` counts it as 2 |L| |R|.
 Before the first pass ``drive`` checks the stream once: every vertex id
 lies in ``[0, n)``, and there are no self loops and no duplicate edges;
 a violation raises ``InvalidInputError``.  A Biclique is checked on its
@@ -278,7 +281,22 @@ def _greedy(order: np.ndarray, sections: list, n: int) -> np.ndarray:
     return status == IN_MIS
 
 
-class LubyMIS:
+class _Runner:
+    """What ``drive`` runs: ``begin_pass``, one ``feed(section)`` per owner
+    section and ``end_pass``, until ``done()``.  ``state_words()`` is the
+    memory snapshot, ``words()`` its length in closed form and
+    ``message()`` its bytes as the protocol writes them."""
+
+    _done = False
+
+    def done(self) -> bool:
+        return self._done
+
+    def message(self) -> bytes:
+        return _pack_words(self.state_words())
+
+
+class LubyMIS(_Runner):
     """Rounds of random priorities: local minima join, neighbors leave.
 
     Each round costs two passes: one to find undecided vertices that
@@ -300,9 +318,6 @@ class LubyMIS:
         self.newly = np.zeros(n, dtype=bool)
         self.rounds = 0
         self._done = n == 0
-
-    def done(self) -> bool:
-        return self._done
 
     def begin_pass(self) -> None:
         if self.phase == "select":
@@ -336,6 +351,10 @@ class LubyMIS:
                                np.flatnonzero(self.blocked), np.flatnonzero(self.newly)],
                               dtype=np.int64)
 
+    def words(self) -> int:
+        return self.n + int(np.count_nonzero(self.drawn) + np.count_nonzero(self.blocked)
+                            + np.count_nonzero(self.newly))
+
     def result(self) -> frozenset[int]:
         return _ids(self.status == IN_MIS)
 
@@ -365,7 +384,7 @@ def parse_schedule(schedule: list, n: int) -> list:
     return sizes
 
 
-class ResidualSparsityMIS:
+class ResidualSparsityMIS(_Runner):
     """Phased sampling: solve a shrinking random sample, retire its neighbors.
 
     Each phase stores only edges inside the current sample of alive
@@ -392,9 +411,6 @@ class ResidualSparsityMIS:
         self.alive_after: list[frozenset[int]] = []
         self._phase_peak = 0
         self._done = n == 0
-
-    def done(self) -> bool:
-        return self._done
 
     def _final_phase(self) -> bool:
         return self.phase_idx == len(self.schedule) - 1
@@ -425,7 +441,7 @@ class ResidualSparsityMIS:
     def end_pass(self) -> None:
         if self.mode == "store":
             # words only grow during a store pass, so its end is the phase's peak
-            self._phase_peak = len(self.state_words())
+            self._phase_peak = self.words()
             members = np.flatnonzero(self.sampled)
             order = self.rng.permutation(len(members))
             self.newly = _greedy(members[order], self.stored, self.n)
@@ -453,6 +469,10 @@ class ResidualSparsityMIS:
                                *(expand(chunk).ravel() for chunk in self.stored),
                                np.flatnonzero(self.newly)], dtype=np.int64)
 
+    def words(self) -> int:
+        return (self.n + int(np.count_nonzero(self.sampled) + np.count_nonzero(self.newly))
+                + 2 * sum(map(len, self.stored)))
+
     def result(self) -> frozenset[int]:
         return _ids(self.status == IN_MIS)
 
@@ -464,8 +484,10 @@ class ResidualSparsityMIS:
         }
 
 
-class BufferedGreedyMIS:
-    """Store the whole stream in one pass, then greedy in random order."""
+class BufferedGreedyMIS(_Runner):
+    """Store the whole stream in one pass, then greedy in random order.
+    Its message packs each buffered section once, on the first message
+    after the section is fed, and joins the packed sections."""
 
     name = "greedy"
 
@@ -474,11 +496,8 @@ class BufferedGreedyMIS:
         self.seed = seed
         self.rng = _rng(seed)
         self.buffer: list = []      # the stream's sections, in order
+        self.packed: list[np.ndarray] = []      # the first sections' words, big-endian
         self.chosen: frozenset[int] = frozenset()
-        self._done = False
-
-    def done(self) -> bool:
-        return self._done
 
     def begin_pass(self) -> None:
         pass
@@ -492,6 +511,14 @@ class BufferedGreedyMIS:
 
     def state_words(self) -> np.ndarray:
         return stack_edges(self.buffer).ravel()
+
+    def words(self) -> int:
+        return 2 * sum(map(len, self.buffer))
+
+    def message(self) -> bytes:
+        self.packed += (s.expand(">u8") if isinstance(s, Biclique) else s.astype(">u8", order="C")
+                        for s in self.buffer[len(self.packed):])
+        return b"".join(self.packed)
 
     def result(self) -> frozenset[int]:
         return self.chosen
@@ -523,16 +550,18 @@ def make_algorithm(desc: str, n: int, seed: int):
 
 
 def drive(alg, stream: EdgeStream,
-          hook: Callable[[int, int, np.ndarray], None] | None = None) -> StreamReport:
+          hook: Callable[[int, int, bytes], None] | None = None) -> StreamReport:
     """Run ``alg`` over ``stream`` until done, one ``feed`` per owner section.
 
     The stream is checked once, before the first pass.  The runner's
-    snapshot ``alg.state_words()`` is its memory: the peak is its largest
-    length, sampled after ``begin_pass``, after every section and after
-    ``end_pass``.  The snapshot never shrinks within a section (blocked
-    masks, stored edges and buffers only grow; retire passes only rewrite
-    status entries), so this is the exact peak over every single edge.
-    ``hook(pass, owner, words)`` receives the snapshot at every section
+    snapshot ``alg.state_words()`` is its memory, and ``alg.words()``
+    counts it without building it: the peak is the largest count, sampled
+    after ``begin_pass``, after every section and after ``end_pass``.  The
+    snapshot never shrinks within a section (blocked masks, stored edges
+    and buffers only grow; retire passes only rewrite status entries), so
+    this is the exact peak over every single edge.  Only a hook makes a
+    snapshot: ``hook(pass, owner, message)`` receives ``alg.message()``,
+    the snapshot packed as 64-bit big-endian words, at every section
     boundary, with passes counted from 1.
     """
     stream.check(alg.n)
@@ -540,15 +569,14 @@ def drive(alg, stream: EdgeStream,
     while not alg.done():
         passes += 1
         alg.begin_pass()
-        peak = max(peak, len(alg.state_words()))
+        peak = max(peak, alg.words())
         for owner, section in enumerate(stream.sections_list):
             alg.feed(section)
-            words = alg.state_words()
-            peak = max(peak, len(words))
+            peak = max(peak, alg.words())
             if hook is not None:
-                hook(passes, owner, words)
+                hook(passes, owner, alg.message())
         alg.end_pass()
-        peak = max(peak, len(alg.state_words()))
+        peak = max(peak, alg.words())
     return StreamReport(
         algorithm=alg.name,
         n=alg.n,
@@ -600,8 +628,8 @@ def simulate_protocol_from_stream(desc: str, inst: Instance, seed: int) -> Simul
     n = inst.graph.n_vertices
     raw: dict[int, list[bytes]] = {}
 
-    def hook(pass_idx: int, owner: int, words: np.ndarray) -> None:
-        raw.setdefault(pass_idx, []).append(_pack_words(words))
+    def hook(pass_idx: int, owner: int, message: bytes) -> None:
+        raw.setdefault(pass_idx, []).append(message)
 
     stream = EdgeStream.from_instance(inst, order="player")
     report = drive(make_algorithm(desc, n, seed), stream, hook)

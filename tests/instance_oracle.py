@@ -405,6 +405,19 @@ def format_edges(edges: np.ndarray) -> str:
     return "".join(h + h.join(vs[a:b]) for h, a, b in zip(heads, cuts, cuts[1:]))
 
 
+def join_blocks(join, rows: int):
+    """misr lines of a Biclique in blocks of rows lines, as the writer made
+    them before it formatted from numpy bytes: each u's run is one
+    ``h + h.join(R tails)``, over " v\\n" strings made once per join."""
+    heads, m = list(map(str, join.left.tolist())), len(join.right)
+    vs = [f" {v}\n" for v in join.right.tolist()]
+    for lo in range(0, len(join), rows):
+        # rows [lo, hi) lie in the runs of heads lo // m to (hi - 1) // m
+        hi = min(lo + rows, len(join))
+        yield "".join(heads[i] + heads[i].join(vs[max(lo - i * m, 0):hi - i * m])
+                      for i in range(lo // m, -(-hi // m)))
+
+
 def parse_section(text: str) -> np.ndarray:
     """A section's "u v" lines as an (m, 2) int64 array: in one call if the
     text is in the form ``write_instance`` produces, else line by line."""

@@ -32,7 +32,7 @@ from misforge import (
 from misforge import hardness
 from misforge.dupgraph import expand, stack_edges
 from misforge.oracle import _covers
-from misforge.streaming import LubyMIS, _pack_words, drive
+from misforge.streaming import LubyMIS, drive
 
 LEVELS = [(4, ((1, 1),)), (4, ((2, 1),)), (4, ((1, 2),)), (2, ((2, 2),)),
           (2, ((1, 1), (1, 1))), (2, ((2, 1), (1, 1)))]
@@ -54,7 +54,7 @@ def expanded(inst):
 def run(desc, n, seed, sections, alg=None):
     snaps = []
     rep = drive(alg or make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, words: snaps.append((p, o, _pack_words(words))))
+                lambda p, o, message: snaps.append((p, o, message)))
     return (rep.output, rep.passes, rep.peak_words, rep.extras), snaps
 
 

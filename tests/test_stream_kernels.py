@@ -22,7 +22,7 @@ from misforge import (
     simulate_protocol_from_stream,
 )
 from misforge.dupgraph import expand
-from misforge.streaming import _pack_words, drive
+from misforge.streaming import drive
 
 DESCS = ("luby", "greedy", "residual:b=4", "residual:b=2", "residual:s={a},{b},all")
 
@@ -35,7 +35,7 @@ def run_both(desc: str, n: int, seed: int, sections: list[list[tuple[int, int]]]
     """Kernel and oracle runs over the same sections, with boundary snapshots."""
     got_snaps, want_snaps = [], []
     rep = drive(make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, words: got_snaps.append((p, o, _pack_words(words))))
+                lambda p, o, message: got_snaps.append((p, o, message)))
     want = oracle.drive(oracle.make_algorithm(desc, n, seed), sections,
                         lambda p, o, words: want_snaps.append((p, o, oracle.pack_words(words))))
     return rep, want, got_snaps, want_snaps
