@@ -90,9 +90,16 @@ class Biclique:
     def __len__(self) -> int:
         return len(self.left) * len(self.right)
 
+    def check_expandable(self) -> None:
+        """The one guard before any expansion: BudgetExceededError past the vector cap."""
+        if len(self) > (cap := default_budget().max_vectors):
+            raise BudgetExceededError(f"a {len(self.left)} x {len(self.right)} join expands "
+                                      f"to {len(self)} edges, over the cap {cap}")
+
     def expand(self, dtype=np.int64) -> np.ndarray:
         """The edges as an (m, 2) array, row-major in (u, v): sorted.  The
         sides are cast to dtype before they are broadcast."""
+        self.check_expandable()
         edges = np.empty((len(self.left), len(self.right), 2), dtype=dtype)
         edges[..., 0] = self.left.astype(dtype, copy=False)[:, None]
         edges[..., 1] = self.right.astype(dtype, copy=False)
@@ -129,6 +136,7 @@ class EdgeView(AbstractSet):
         size = self.layer_size
         for part in self.parts:
             if isinstance(part, Biclique):      # each side's vertices made once
+                part.check_expandable()
                 yield from product(*([(x // size + 1, x % size) for x in ids.tolist()]
                                      for ids in (part.left, part.right)))
             else:

@@ -559,16 +559,17 @@ def _misr_blocks(edges: np.ndarray | Biclique) -> Iterator[str]:
     """misr lines "u v\\n" of an edge section of non-negative ids, at most
     MISR_BLOCK_ROWS rows per string.  A Biclique's come from
     ``_join_blocks``; an array's from one str.join per run of equal u, over
-    " v\\n" strings made once per section."""
+    " v\\n" strings made once per distinct v of the section."""
     if not len(edges):
         return
     if isinstance(edges, Biclique):
         yield from _join_blocks(edges)
         return
-    tails = np.array([f" {v}\n" for v in range(int(edges[:, 1].max()) + 1)], dtype=object)
+    distinct, which = np.unique(edges[:, 1], return_inverse=True)
+    tails = np.array([f" {v}\n" for v in distinct.tolist()], dtype=object)
     for lo in range(0, len(edges), MISR_BLOCK_ROWS):
         block = edges[lo:lo + MISR_BLOCK_ROWS]
-        vs = tails[block[:, 1]].tolist()
+        vs = tails[which[lo:lo + MISR_BLOCK_ROWS]].tolist()
         u = block[:, 0]
         cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
         heads = map(str, u[cuts[:-1]].tolist())     # u once per run, then " v\n" each

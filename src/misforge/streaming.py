@@ -7,7 +7,7 @@ of state retained between stream elements, one per vertex id, priority
 value or status entry and two per buffered edge.  O(1) counters are
 exempt; the output set is written to an output tape and not counted.
 ``words()`` counts the snapshot in closed form, so ``drive``'s peak
-builds none; a snapshot is made only for a hook, as ``message()``.
+builds none; a snapshot is made only for a hook that asks ``message()``.
 
 A stream is a list of owner sections of flat vertex ids.  A section is
 an ``(m, 2)`` int64 array, or a ``Biclique(L, R)``: every edge (u, v)
@@ -49,10 +49,10 @@ sampled at section boundaries equals the peak over every single edge.
 
 A run over a stream whose edges are grouped by owner simulates a
 blackboard protocol: at the end of each owner's section the live memory
-words are written out as one message.  Messages in a round are padded
-to the round's longest, so the total transcript size is at most
-passes * k * peak_words * word_bits for k owners, which is the
-communication bound this package exists to measure.
+words are written out as one message, counted by ``words()``, never built.
+Messages in a round count as padded to the round's longest, so the total
+transcript size is at most passes * k * peak_words * word_bits for k
+owners, which is the communication bound this package exists to measure.
 """
 
 from __future__ import annotations
@@ -485,9 +485,7 @@ class ResidualSparsityMIS(_Runner):
 
 
 class BufferedGreedyMIS(_Runner):
-    """Store the whole stream in one pass, then greedy in random order.
-    Its message packs each buffered section once, on the first message
-    after the section is fed, and joins the packed sections."""
+    """Store the whole stream in one pass, then greedy in random order."""
 
     name = "greedy"
 
@@ -496,7 +494,6 @@ class BufferedGreedyMIS(_Runner):
         self.seed = seed
         self.rng = _rng(seed)
         self.buffer: list = []      # the stream's sections, in order
-        self.packed: list[np.ndarray] = []      # the first sections' words, big-endian
         self.chosen: frozenset[int] = frozenset()
 
     def begin_pass(self) -> None:
@@ -514,11 +511,6 @@ class BufferedGreedyMIS(_Runner):
 
     def words(self) -> int:
         return 2 * sum(map(len, self.buffer))
-
-    def message(self) -> bytes:
-        self.packed += (s.expand(">u8") if isinstance(s, Biclique) else s.astype(">u8", order="C")
-                        for s in self.buffer[len(self.packed):])
-        return b"".join(self.packed)
 
     def result(self) -> frozenset[int]:
         return self.chosen
@@ -550,7 +542,7 @@ def make_algorithm(desc: str, n: int, seed: int):
 
 
 def drive(alg, stream: EdgeStream,
-          hook: Callable[[int, int, bytes], None] | None = None) -> StreamReport:
+          hook: Callable[[int, int, _Runner], None] | None = None) -> StreamReport:
     """Run ``alg`` over ``stream`` until done, one ``feed`` per owner section.
 
     The stream is checked once, before the first pass.  The runner's
@@ -559,10 +551,10 @@ def drive(alg, stream: EdgeStream,
     after ``begin_pass``, after every section and after ``end_pass``.  The
     snapshot never shrinks within a section (blocked masks, stored edges
     and buffers only grow; retire passes only rewrite status entries), so
-    this is the exact peak over every single edge.  Only a hook makes a
-    snapshot: ``hook(pass, owner, message)`` receives ``alg.message()``,
-    the snapshot packed as 64-bit big-endian words, at every section
-    boundary, with passes counted from 1.
+    this is the exact peak over every single edge.  ``hook(pass, owner,
+    alg)`` gets the runner at every section boundary, passes counted from
+    1: ``alg.words()`` is the message length, and only ``alg.message()``,
+    the snapshot packed as 64-bit big-endian words, builds a snapshot.
     """
     stream.check(alg.n)
     passes = peak = 0
@@ -574,7 +566,7 @@ def drive(alg, stream: EdgeStream,
             alg.feed(section)
             peak = max(peak, alg.words())
             if hook is not None:
-                hook(passes, owner, alg.message())
+                hook(passes, owner, alg)
         alg.end_pass()
         peak = max(peak, alg.words())
     return StreamReport(
@@ -593,17 +585,17 @@ def drive(alg, stream: EdgeStream,
 
 @dataclass(frozen=True)
 class Transcript:
-    rounds: tuple[tuple[bytes, ...], ...]    # per pass, one message per owner, padded
+    rounds: tuple[tuple[int, ...], ...]      # per pass, each owner's message length in words
     answer: bytes
     word_bits: ClassVar[int] = 64            # every word is packed as 64-bit big-endian
 
     @property
-    def cc_bits(self) -> int:
-        return sum(len(m) * 8 for rnd in self.rounds for m in rnd)
+    def cc_bits(self) -> int:     # every message padded to its round's longest
+        return sum(len(rnd) * max(rnd) for rnd in self.rounds) * self.word_bits
 
     @property
     def max_message_bits(self) -> int:
-        return max((len(m) * 8 for rnd in self.rounds for m in rnd), default=0)
+        return max((max(rnd) for rnd in self.rounds), default=0) * self.word_bits
 
 
 def _pack_words(words) -> bytes:
@@ -620,27 +612,18 @@ class SimulationResult:
 def simulate_protocol_from_stream(desc: str, inst: Instance, seed: int) -> SimulationResult:
     """Run a streaming algorithm as a k-owner blackboard protocol.
 
-    The instance's player edge sets, in order, form the stream; memory
-    snapshots at section boundaries become the messages, 64-bit words
-    each.  Taking a snapshot only reads the runner's state, so the
-    report is that of a plain ``drive`` over the player-order stream.
+    The instance's player edge sets, in order, form the stream; the
+    memory at each section boundary is a message of ``words()`` 64-bit
+    words, counted and never built.  Counting only reads the runner's
+    state, so the report is that of a plain ``drive`` over the
+    player-order stream.
     """
-    n = inst.graph.n_vertices
-    raw: dict[int, list[bytes]] = {}
-
-    def hook(pass_idx: int, owner: int, message: bytes) -> None:
-        raw.setdefault(pass_idx, []).append(message)
-
-    stream = EdgeStream.from_instance(inst, order="player")
-    report = drive(make_algorithm(desc, n, seed), stream, hook)
-
-    rounds = []
-    for pass_idx in sorted(raw):
-        msgs = raw[pass_idx]
-        width = max(len(m) for m in msgs)
-        rounds.append(tuple(m.ljust(width, b"\0") for m in msgs))
-    answer = _pack_words(sorted(report.output))
-    transcript = Transcript(rounds=tuple(rounds), answer=answer)
+    rounds: dict[int, list[int]] = {}
+    report = drive(make_algorithm(desc, inst.graph.n_vertices, seed),
+                   EdgeStream.from_instance(inst, order="player"),
+                   lambda pass_idx, owner, alg: rounds.setdefault(pass_idx, []).append(alg.words()))
+    transcript = Transcript(rounds=tuple(map(tuple, rounds.values())),
+                            answer=_pack_words(sorted(report.output)))
     return SimulationResult(transcript=transcript, report=report, k=len(inst.players))
 
 

@@ -10,6 +10,7 @@ verdicts, errors and text.
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,15 +19,18 @@ from hypothesis import strategies as st
 
 from misforge import (
     Biclique,
+    BudgetExceededError,
     EdgeStream,
     InvalidInputError,
     ToyParams,
     check_properties,
+    enumerate_all_mis,
     extract_predicate_from_mis,
     gnp_graph,
     make_algorithm,
     read_instance,
     sample_instance,
+    simulate_protocol_from_stream,
     write_instance,
 )
 from misforge import hardness
@@ -54,7 +58,7 @@ def expanded(inst):
 def run(desc, n, seed, sections, alg=None):
     snaps = []
     rep = drive(alg or make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, message: snaps.append((p, o, message)))
+                lambda p, o, runner: snaps.append((p, o, runner.message())))
     return (rep.output, rep.passes, rep.peak_words, rep.extras), snaps
 
 
@@ -275,3 +279,48 @@ def test_covers_same_on_both_forms(shape, seed, pick):
 def _vertices(inst, flat):
     size = inst.graph.layer_size
     return {(f // size + 1, f % size) for f in flat}
+
+
+# -- the expansion guard ----------------------------------------------------------
+
+
+def test_expansion_refused_past_the_vector_cap(monkeypatch):
+    """3 x 4 fits a cap of 12 and 3 x 5 does not; under the default cap of
+    2^24, a 2^13 x 2^12 join is refused before anything is allocated."""
+    monkeypatch.setenv("MISFORGE_BUDGET", "12")
+    assert np.array_equal(bic(range(3), range(3, 7)).expand(),
+                          [(u, v) for u in range(3) for v in range(3, 7)])
+    with pytest.raises(BudgetExceededError, match="3 x 5 join"):
+        bic(range(3), range(3, 8)).expand()
+    monkeypatch.delenv("MISFORGE_BUDGET")
+    join = Biclique(np.arange(1 << 13), np.arange(1 << 13, (1 << 13) + (1 << 12)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            join.expand()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_every_expansion_of_a_join_refuses_the_same_way(monkeypatch):
+    """With the 8 x 8 join of an r=1 instance over the cap: snapshots, edge
+    membership, flat edges, a random-order stream and MIS enumeration
+    refuse typed; the protocol simulation, which checks and runs the
+    stream in closed form, expands nothing and gives what it gave before."""
+    inst = instance((4, ((1, 1),)), 0)
+    join, size = inst.player_edges[-1], inst.graph.layer_size
+    edge = tuple((int(x) // size + 1, int(x) % size) for x in (join.left[0], join.right[0]))
+    want = simulate_protocol_from_stream("greedy", inst, 1)
+    monkeypatch.setenv("MISFORGE_BUDGET", str(len(join) - 1))
+    greedy = make_algorithm("greedy", inst.graph.n_vertices, 1)
+    greedy.feed(join)
+    refusals = [greedy.state_words, greedy.message, inst.graph.flat_edges,
+                lambda: edge in inst.graph.edges,
+                lambda: EdgeStream.from_instance(inst, order="random", seed=0),
+                lambda: enumerate_all_mis(inst.graph, max_vertices=10**6)]
+    for refused in refusals:
+        with pytest.raises(BudgetExceededError):
+            refused()
+    got = simulate_protocol_from_stream("greedy", inst, 1)
+    assert (got.report.output, got.transcript) == (want.report.output, want.transcript)

@@ -35,7 +35,7 @@ def run_both(desc: str, n: int, seed: int, sections: list[list[tuple[int, int]]]
     """Kernel and oracle runs over the same sections, with boundary snapshots."""
     got_snaps, want_snaps = [], []
     rep = drive(make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, message: got_snaps.append((p, o, message)))
+                lambda p, o, runner: got_snaps.append((p, o, runner.message())))
     want = oracle.drive(oracle.make_algorithm(desc, n, seed), sections,
                         lambda p, o, words: want_snaps.append((p, o, oracle.pack_words(words))))
     return rep, want, got_snaps, want_snaps
@@ -87,12 +87,18 @@ def test_kernels_match_oracle_on_instances(graph_seed, seed, template, levels):
     raw: dict[int, list[bytes]] = {}
     want = oracle.drive(oracle.make_algorithm(desc, n, seed), sections,
                         lambda p, o, words: raw.setdefault(p, []).append(oracle.pack_words(words)))
-    rounds = tuple(
-        tuple(m.ljust(max(map(len, msgs)), b"\0") for m in msgs)
-        for _, msgs in sorted(raw.items())
-    )
+    padded = [m.ljust(max(map(len, msgs)), b"\0") for _, msgs in sorted(raw.items())
+              for m in msgs]
     assert_same(sim.report, want, [], [])
-    assert sim.transcript.rounds == rounds
+    # the transcript counts the messages; a hook that asks for them gets the bytes
+    assert sim.transcript.rounds == tuple(tuple(len(m) // 8 for m in msgs)
+                                          for _, msgs in sorted(raw.items()))
+    assert sim.transcript.cc_bits == 8 * sum(map(len, padded))
+    assert sim.transcript.max_message_bits == 8 * max(map(len, padded))
+    got: dict[int, list[bytes]] = {}
+    drive(make_algorithm(desc, n, seed), EdgeStream.from_instance(inst),
+          lambda p, o, runner: got.setdefault(p, []).append(runner.message()))
+    assert got == raw
     assert sim.transcript.answer == oracle.pack_words(sorted(want["output"]))
     assert sim.k == len(sections)
 

@@ -1,10 +1,11 @@
-"""Runner memory counted without a snapshot, and messages packed once.
+"""Runner memory and protocol messages counted without a snapshot.
 
-``drive`` takes the peak from ``words()``, a closed-form count, and asks
-for ``message()`` only when a hook wants the snapshot.  On every runner,
-at every point where ``drive`` samples, ``words()`` must equal
-``len(state_words())`` and ``message()`` must equal the packed snapshot;
-with no hook, no snapshot is built at all.
+``drive`` takes the peak from ``words()``, a closed-form count, and hands
+a hook the runner, which asks for ``message()`` only when it wants the
+snapshot.  On every runner, at every point where ``drive`` samples,
+``words()`` must equal ``len(state_words())`` and ``message()`` must
+equal the packed snapshot; with no hook, and in the protocol simulation,
+no snapshot is built at all.
 """
 
 import numpy as np
@@ -12,9 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misforge import EdgeStream, ToyParams, make_algorithm, sample_instance
+import stream_oracle as oracle
+from misforge import (
+    EdgeStream,
+    ToyParams,
+    make_algorithm,
+    sample_instance,
+    simulate_protocol_from_stream,
+)
 from misforge.dupgraph import Biclique
-from misforge.streaming import BufferedGreedyMIS, _pack_words, drive
+from misforge.streaming import (
+    BufferedGreedyMIS,
+    LubyMIS,
+    ResidualSparsityMIS,
+    _pack_words,
+    _Runner,
+    drive,
+)
 from test_biclique import biclique_streams
 
 DESCS = ("luby", "greedy", "residual:b=4", "residual:b=2", "residual:s={a},{b},all")
@@ -44,7 +59,7 @@ def checked_run(desc, n, seed, sections):
 
     alg.words, alg.message = counted, packed
     messages = []
-    rep = drive(alg, EdgeStream(sections), lambda p, o, m: messages.append(m))
+    rep = drive(alg, EdgeStream(sections), lambda p, o, runner: messages.append(runner.message()))
     # residual also counts at the end of each store pass, for its phase peak
     assert len(samples) >= rep.passes * (len(sections) + 2)
     assert len(messages) == rep.passes * len(sections)
@@ -84,7 +99,7 @@ def test_no_snapshot_without_a_hook(template):
                                                          want.peak_words)
 
 
-def test_greedy_packs_each_section_once():
+def test_greedy_message_is_its_packed_buffer():
     join = Biclique(np.array([0, 2, 9]), np.array([10, 11, 12, 100]))
     edges = np.array([[1, 3], [4, 5]], dtype=np.int64)
     greedy = BufferedGreedyMIS(101, 0)
@@ -92,5 +107,35 @@ def test_greedy_packs_each_section_once():
         greedy.feed(section)
         first = greedy.message()
         assert greedy.message() == first == _pack_words(greedy.state_words())
-    assert len(greedy.packed) == 2
-    assert greedy.packed[1].dtype == np.dtype(">u8") and greedy.words() == 2 * (2 + 12)
+    assert first == np.concatenate([edges, join.expand()]).astype(">u8").tobytes()
+    assert greedy.words() == 2 * (2 + 12) == len(first) // 8
+
+
+RUNNERS = (_Runner, LubyMIS, BufferedGreedyMIS, ResidualSparsityMIS)
+
+
+@given(graph_seed=st.integers(0, 500), seed=st.integers(0, 500),
+       desc=st.sampled_from(("luby", "greedy", "residual:b=4")),
+       levels=st.sampled_from([((1, 1),), ((2, 1),), ((1, 1), (1, 1))]))
+@settings(deadline=None, max_examples=50)
+def test_simulation_counts_messages_without_building_them(graph_seed, seed, desc, levels):
+    """Every runner's snapshot and message refused: the simulation still
+    gives the transcript of the per-edge oracle's packed, padded messages."""
+    inst = sample_instance(len(levels), ToyParams(n_0=4 if len(levels) == 1 else 2,
+                                                  levels=levels), graph_seed)
+    n = inst.graph.n_vertices
+    lengths: dict[int, list[int]] = {}
+    oracle.drive(oracle.make_algorithm(desc, n, seed), oracle.player_sections(inst),
+                 lambda p, o, words: lengths.setdefault(p, []).append(
+                     len(oracle.pack_words(words))))
+
+    def refuse(self):
+        raise AssertionError("a snapshot was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in RUNNERS:
+            mp.setattr(cls, "state_words", refuse, raising=False)
+            mp.setattr(cls, "message", refuse)
+        sim = simulate_protocol_from_stream(desc, inst, seed)
+    assert sim.transcript.cc_bits == sum(8 * len(msgs) * max(msgs) for msgs in lengths.values())
+    assert sim.transcript.max_message_bits == 8 * max(map(max, lengths.values()))
