@@ -91,18 +91,19 @@ class Biclique:
         return len(self.left) * len(self.right)
 
     def check_expandable(self) -> None:
-        """The one guard before any expansion: BudgetExceededError past the vector cap."""
+        """The one guard before any expansion: BudgetExceededError past the
+        vector cap of ``default_budget()`` (MISFORGE_BUDGET or 2^24), not of
+        a Budget passed to the caller."""
         if len(self) > (cap := default_budget().max_vectors):
             raise BudgetExceededError(f"a {len(self.left)} x {len(self.right)} join expands "
                                       f"to {len(self)} edges, over the cap {cap}")
 
-    def expand(self, dtype=np.int64) -> np.ndarray:
-        """The edges as an (m, 2) array, row-major in (u, v): sorted.  The
-        sides are cast to dtype before they are broadcast."""
+    def expand(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array, row-major in (u, v): sorted."""
         self.check_expandable()
-        edges = np.empty((len(self.left), len(self.right), 2), dtype=dtype)
-        edges[..., 0] = self.left.astype(dtype, copy=False)[:, None]
-        edges[..., 1] = self.right.astype(dtype, copy=False)
+        edges = np.empty((len(self.left), len(self.right), 2), np.int64)
+        edges[..., 0] = self.left[:, None]
+        edges[..., 1] = self.right
         return edges.reshape(-1, 2)
 
 
