@@ -4,8 +4,12 @@
     python3 bench/instances.py --workload exact_checks --before DIR --after DIR \
         --out BENCH_exact_checks.json
 
-Each DIR is the root of a misforge checkout.  For every seed, and for
-each checkout in turn, the script runs there
+Each DIR is the root of a misforge checkout.  Make the before side a git
+checkout of the parent commit, for example ``git worktree add DIR HEAD~1``
+(or a ``git clone``), so that ``commits`` names both sides: the commit is
+``git describe`` in each DIR, and a copy without ``.git`` is recorded as
+"unknown".  For every seed, and for each checkout in turn, the script
+runs there
 
 * ``perfbench/run.py --workload W --trace 1`` and keeps the per-layer
   self times of the workload's spans (``WORKLOADS[W]["keep"]``) and the
@@ -17,7 +21,9 @@ each checkout in turn, the script runs there
   time and the process's peak RSS so far (``ru_maxrss`` is a high-water
   mark: a stage that raises it is the one that needed the memory).  For
   ``instance_pipeline`` a case is one of its two toy instances and the
-  stages are the hardness stages; for ``exact_checks`` a case is one of
+  stages are the hardness stages, then a Luby run on the loaded stream
+  and the benchmark's check of its output, ``is_mis`` over
+  ``flat_edges()``; for ``exact_checks`` a case is one of
   its three average-free grids and the stages are build and verify;
 * for ``instance_pipeline``, the ``cli`` case: ``misforge gen-instance``
   on formula r=1, n=4096, then ``misforge check-instance`` on its file,
@@ -62,8 +68,8 @@ def stage(name, fn):
 
 PIPELINE_PROBE = r"""
 import io
-from misforge import (EdgeStream, ToyParams, check_properties, read_instance,
-                      sample_instance, write_instance)
+from misforge import (EdgeStream, LubyMIS, ToyParams, check_properties, drive, is_mis,
+                      read_instance, sample_instance, write_instance)
 
 n0, levels = CASES[key]
 toy = ToyParams(n_0=n0, levels=levels)
@@ -75,7 +81,12 @@ stage("write_instance", lambda: write_instance(inst, buf, seed=seed, mode="toy")
 del inst
 loaded = stage("read_instance", lambda: read_instance(io.StringIO(buf.getvalue())))
 stage("matches", lambda: loaded.matches)
-stage("from_instance", lambda: EdgeStream.from_instance(loaded.instance))
+stream = stage("from_instance", lambda: EdgeStream.from_instance(loaded.instance))
+n = loaded.instance.graph.n_vertices
+report = stage("luby", lambda: drive(LubyMIS(n, seed), stream))
+if not stage("is_mis", lambda: is_mis((range(n), loaded.instance.graph.flat_edges()),
+                                      report.output)):
+    sys.exit(f"{key}: Luby's output is not a maximal independent set")
 print(json.dumps(rows))
 """
 

@@ -180,12 +180,10 @@ class LayeredGraph:
     def flat_id(self, v: Vertex) -> int:
         return (v[0] - 1) * self.layer_size + v[1]
 
-    def flat_edges(self) -> list[tuple[int, int]]:
-        """Every edge as a (u, v) flat-id pair, u < v, sorted."""
-        return list(zip(*(ids.tolist() for ids in self.edge_array().T)))
-
-    def edge_array(self) -> np.ndarray:
-        """The edges as a sorted (m, 2) int64 array of flat ids, smaller id first."""
+    def flat_edges(self) -> np.ndarray:
+        """The edges as one sorted (m, 2) int64 array of flat ids, smaller id
+        first, each edge once: the array form every flat-id consumer takes.
+        An EdgeView's Biclique parts are expanded, under their cap."""
         edges = self.edges
         if isinstance(edges, EdgeView):
             keys = np.sort(np.concatenate([edge_keys(expand(p), edges.n) for p in edges.parts]))

@@ -136,7 +136,7 @@ def _induced_keys(emb: EmbeddedGraph, dup: DupGraph,
     g, w, p = emb.graph, emb.inner_layer_size, dup.paths.shape[1]
     inner = np.arange(g.num_layers * w)
     labels = inner // w * (p * w) + np.arange(p)[:, None] * w + inner % w
-    keys, edges = [np.empty(0, dtype=np.int64)], g.edge_array()
+    keys, edges = [np.empty(0, dtype=np.int64)], g.flat_edges()
     for c, lut in enumerate(path_lut(dup, cols[:, None], np.arange(1, p + 1), w)):
         relabel = np.full(g.n_vertices, -1)
         relabel[lut] = labels

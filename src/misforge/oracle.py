@@ -1,7 +1,10 @@
 """Maximal-independent-set checks and the bit predicates they reveal.
 
 Works over any graph object exposing vertices and edges: LayeredGraph,
-a streaming FlatGraph, or a plain (vertices, edges) pair.
+a streaming FlatGraph, or a plain (vertices, edges) pair.  is_mis and
+extract_predicate_from_mis check a set as one mask over flat ids, with
+one numpy pass over the edge sections, so no edge becomes a tuple; only
+enumeration and greedy sort the graph into tuple lists.
 
 The predicate operations walk a recursive hard instance: a search
 sequence K = (k_r, ..., k_1) picks one special sub-instance per level,
@@ -16,11 +19,13 @@ reads the constructed truth.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from contextlib import suppress
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dupgraph import Biclique, path_lut
+from .dupgraph import Biclique, EdgeView, LayeredGraph, path_lut
 from .errors import (
     BudgetExceededError,
     InconsistentMisError,
@@ -49,38 +54,104 @@ def vertex_edge_view(graph) -> tuple[list, list]:
     return sorted(vertices), sorted(tuple(e) for e in edges)
 
 
+def _as_int(x) -> int | None:
+    """The int that x equals, as a set of ints would match it, or None."""
+    try:
+        return i if (i := int(x)) == x else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _label_map(vertices) -> tuple[int, Callable[[list], np.ndarray]]:
+    """The vertex count n and a map from a list of labels to their vertices'
+    positions in 0..n-1, n for anything that is not a vertex: a
+    LayeredGraph's (layer, idx) to its flat id and a range's ints to their
+    index by arithmetic (ints all at once), other labels through one dict."""
+    if isinstance(vertices, LayeredGraph):
+        layers, size, n = vertices.num_layers, vertices.layer_size, vertices.n_vertices
+
+        def pos(v) -> int:
+            if isinstance(v, tuple) and len(v) == 2:
+                layer, idx = map(_as_int, v)
+                if layer is not None and idx is not None and 0 < layer <= layers and 0 <= idx < size:
+                    return (layer - 1) * size + idx
+            return n
+        return n, lambda labels: np.fromiter(map(pos, labels), np.int64, len(labels))
+    if isinstance(vertices, range):
+        n, start, step = len(vertices), vertices.start, vertices.step
+
+        def positions(labels: list) -> np.ndarray:
+            with suppress(ValueError, OverflowError):
+                if (ids := np.array(labels)).dtype.kind == "i" and ids.ndim == 1:
+                    ids, off = np.divmod(ids.astype(np.int64) - start, step)
+                    return _in_range(np.where(off == 0, ids, -1), n)
+            return np.fromiter((vertices.index(i) if (i := _as_int(x)) is not None and i in vertices
+                                else n for x in labels), np.int64, len(labels))
+        return n, positions
+    index: dict = {}
+    for v in vertices:
+        index.setdefault(v, len(index))
+    n = len(index)
+    return n, lambda labels: np.fromiter(map(index.get, labels, repeat(n)), np.int64, len(labels))
+
+
+def _mask(n: int, positions: Callable[[list], np.ndarray], candidate: Iterable) -> np.ndarray:
+    """The candidate as a boolean mask over positions 0..n; entry n, the
+    stand-in for everything that is not a vertex, is set iff one is in it."""
+    chosen = np.zeros(n + 1, dtype=bool)
+    chosen[positions(list(set(candidate)))] = True
+    return chosen
+
+
+def _in_range(ids: np.ndarray, n: int) -> np.ndarray:
+    """ids with each one outside [0, n) replaced by the stand-in n, so that
+    a negative id never wraps around."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        return np.where((ids >= 0) & (ids < n), ids, n)
+    return ids
+
+
 def is_mis(graph, candidate: Iterable) -> bool:
     """True iff candidate is an independent dominating set of graph.
 
-    One pass over the edges; nothing is sorted.
+    The candidate becomes one mask over vertex positions (``_label_map``)
+    and the edges flat-id sections: a LayeredGraph's EdgeView parts,
+    arrays and Bicliques, and an integer (m, 2) array over range(n) as
+    they are, other label pairs mapped in one step.  One ``_dominated``
+    pass decides.  A label that is not a vertex fails the set, and so does
+    an edge from a chosen vertex to one outside the graph.  Nothing is
+    sorted, so unorderable labels work.
     """
     vertices, edges = _vertices_and_edges(graph)
-    vset = set(vertices)
-    s = set(candidate)
-    if not s <= vset:
-        return False
-    dominated = set(s)
-    for u, v in edges:
-        if u in s and v in s:
-            return False
-        if u in s:
-            dominated.add(v)
-        if v in s:
-            dominated.add(u)
-    return dominated == vset
+    if isinstance(graph, LayeredGraph):
+        vertices = graph
+    n, positions = _label_map(vertices)
+    chosen = _mask(n, positions, candidate)     # a chosen stand-in is never undominated
+    if isinstance(edges, EdgeView) and vertices is graph and edges.layer_size == graph.layer_size:
+        parts = edges.parts
+    elif (isinstance(vertices, range) and vertices == range(n) and isinstance(edges, np.ndarray)
+          and edges.dtype.kind in "iu" and edges.shape[1:] == (2,)):
+        parts = (edges,)
+    else:
+        parts = (positions([x for u, v in edges for x in (u, v)]).reshape(-1, 2),)
+    sections = [Biclique(_in_range(p.left, n), _in_range(p.right, n)) if isinstance(p, Biclique)
+                else _in_range(p, n) for p in parts]
+    dominated = _dominated(sections, chosen)
+    return dominated is not None and bool(dominated[:n].all()) and not dominated[n]
 
 
-def _covers(sections, chosen: np.ndarray) -> bool:
-    """is_mis over flat ids: the vertices marked in the boolean mask chosen
-    are independent in the edge sections ((m, 2) arrays or Bicliques) and
-    dominate every vertex.  A Biclique has a chosen vertex on both sides
-    iff it has a chosen edge, and one on either side dominates the other."""
+def _dominated(sections, chosen: np.ndarray) -> np.ndarray | None:
+    """The vertices that those marked in the boolean mask chosen dominate,
+    themselves included, over flat-id sections ((m, 2) arrays or
+    Bicliques); None if two chosen vertices are adjacent.  A Biclique has
+    a chosen vertex on both sides iff it has a chosen edge, and one on
+    either side dominates the other."""
     dominated = chosen.copy()
     for section in sections:
         if isinstance(section, Biclique):
             on_left, on_right = chosen[section.left].any(), chosen[section.right].any()
             if on_left and on_right:
-                return False
+                return None
             if on_left:
                 dominated[section.right] = True
             if on_right:
@@ -88,10 +159,17 @@ def _covers(sections, chosen: np.ndarray) -> bool:
             continue
         u, v = section.T
         if (chosen[u] & chosen[v]).any():
-            return False
+            return None
         dominated[v[chosen[u]]] = True
         dominated[u[chosen[v]]] = True
-    return bool(dominated.all())
+    return dominated
+
+
+def _covers(sections, chosen: np.ndarray) -> bool:
+    """is_mis over flat ids: the vertices marked in chosen are independent
+    in the sections and dominate every vertex."""
+    dominated = _dominated(sections, chosen)
+    return dominated is not None and bool(dominated.all())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -190,12 +268,11 @@ def extract_predicate_from_mis(inst, candidate: Iterable, seq: SearchSequence) -
     """
     seq = tuple(seq)
     _validate_sequence(inst, seq)
-    flat = {v: f for f, v in enumerate(inst.graph.vertices())}
-    ids = [flat.get(v, -1) for v in set(candidate)]
-    chosen = np.zeros(inst.graph.n_vertices, dtype=bool)
-    chosen[ids] = True
-    if -1 in ids or not _covers(inst.player_edges, chosen):
+    n, positions = _label_map(inst.graph)
+    chosen = _mask(n, positions, candidate)
+    if chosen[n] or not _covers(inst.player_edges, chosen[:n]):
         raise NotAnMisError("candidate is not a maximal independent set of the instance")
+    chosen = chosen[:n]
     cur = inst
     for k in seq:
         sub = cur.subinstance(cur.t, k)

@@ -7,7 +7,7 @@ of state retained between stream elements, one per vertex id, priority
 value or status entry and two per buffered edge.  O(1) counters are
 exempt; the output set is written to an output tape and not counted.
 ``words()`` counts the snapshot in closed form, so ``drive``'s peak
-builds none; a snapshot is made only for a hook that asks ``message()``.
+builds none; a snapshot is made only for a hook that asks ``state_words()``.
 
 A stream is a list of owner sections of flat vertex ids.  A section is
 an ``(m, 2)`` int64 array, or a ``Biclique(L, R)``: every edge (u, v)
@@ -284,16 +284,13 @@ def _greedy(order: np.ndarray, sections: list, n: int) -> np.ndarray:
 class _Runner:
     """What ``drive`` runs: ``begin_pass``, one ``feed(section)`` per owner
     section and ``end_pass``, until ``done()``.  ``state_words()`` is the
-    memory snapshot, ``words()`` its length in closed form and
-    ``message()`` its bytes as the protocol writes them."""
+    memory snapshot, and so the protocol's message, and ``words()`` its
+    length in closed form."""
 
     _done = False
 
     def done(self) -> bool:
         return self._done
-
-    def message(self) -> bytes:
-        return _pack_words(self.state_words())
 
 
 class LubyMIS(_Runner):
@@ -553,8 +550,8 @@ def drive(alg, stream: EdgeStream,
     and buffers only grow; retire passes only rewrite status entries), so
     this is the exact peak over every single edge.  ``hook(pass, owner,
     alg)`` gets the runner at every section boundary, passes counted from
-    1: ``alg.words()`` is the message length, and only ``alg.message()``,
-    the snapshot packed as 64-bit big-endian words, builds a snapshot.
+    1: ``alg.words()`` is the message length, and only
+    ``alg.state_words()``, the message itself, builds a snapshot.
     """
     stream.check(alg.n)
     passes = peak = 0

@@ -116,7 +116,7 @@ def induced_on_upc(emb, dup: DupGraph, i: int) -> LayeredGraph:
     relabel = np.full(g.n_vertices, -1)
     relabel[path_lut(dup, i, np.arange(1, p + 1), w)] = (
         inner // w * (p * w) + np.arange(p)[:, None] * w + inner % w)
-    mapped = relabel[g.edge_array()]
+    mapped = relabel[g.flat_edges()]
     kept = np.sort(mapped[(mapped >= 0).all(axis=1)], axis=1)
     return LayeredGraph(num_layers=g.num_layers, layer_size=p * w,
                         edges=frozenset(edge_pairs(kept, p * w)))

@@ -42,8 +42,9 @@ from misforge.errors import (
     InvalidInputError,
     NotAnMisError,
 )
-from misforge.oracle import _validate_sequence, is_mis
+from misforge.oracle import _validate_sequence
 from misforge.report import VerificationReport
+from mis_oracle import is_mis
 
 
 @dataclass(frozen=True)

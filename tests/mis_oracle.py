@@ -1,9 +1,10 @@
-"""Every maximal independent set via networkx: the reference enumeration.
+"""Reference MIS checks for the differential tests in ``test_oracle.py``.
 
-``misforge.oracle.enumerate_all_mis`` runs its own Bron-Kerbosch search
-over bitmasks; this is the networkx complement-clique version it
-replaced, kept as the oracle for the differential tests in
-``test_oracle.py``.
+``misforge.oracle.is_mis`` maps labels to flat-id positions and runs one
+mask check over edge sections; ``is_mis`` here is the set-based loop it
+replaced, one ``(u, v)`` pair per edge.  ``misforge.oracle.enumerate_all_mis``
+runs its own Bron-Kerbosch search over bitmasks; ``enumerate_all_mis``
+here is the networkx complement-clique version it replaced.
 """
 
 from __future__ import annotations
@@ -13,7 +14,28 @@ from itertools import combinations
 import networkx as nx
 
 from misforge.errors import BudgetExceededError
-from misforge.oracle import vertex_edge_view
+from misforge.oracle import _vertices_and_edges, vertex_edge_view
+
+
+def is_mis(graph, candidate) -> bool:
+    """True iff candidate is an independent dominating set of graph.
+
+    One pass over the edges; nothing is sorted.
+    """
+    vertices, edges = _vertices_and_edges(graph)
+    vset = set(vertices)
+    s = set(candidate)
+    if not s <= vset:
+        return False
+    dominated = set(s)
+    for u, v in edges:
+        if u in s and v in s:
+            return False
+        if u in s:
+            dominated.add(v)
+        if v in s:
+            dominated.add(u)
+    return dominated == vset
 
 
 def enumerate_all_mis(graph, max_vertices: int = 24) -> list[frozenset]:

@@ -36,7 +36,7 @@ from misforge import (
 from misforge import hardness
 from misforge.dupgraph import expand, stack_edges
 from misforge.oracle import _covers
-from misforge.streaming import LubyMIS, drive
+from misforge.streaming import LubyMIS, _pack_words, drive
 
 LEVELS = [(4, ((1, 1),)), (4, ((2, 1),)), (4, ((1, 2),)), (2, ((2, 2),)),
           (2, ((1, 1), (1, 1))), (2, ((2, 1), (1, 1)))]
@@ -58,7 +58,7 @@ def expanded(inst):
 def run(desc, n, seed, sections, alg=None):
     snaps = []
     rep = drive(alg or make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, runner: snaps.append((p, o, runner.message())))
+                lambda p, o, runner: snaps.append((p, o, _pack_words(runner.state_words()))))
     return (rep.output, rep.passes, rep.peak_words, rep.extras), snaps
 
 
@@ -315,7 +315,8 @@ def test_every_expansion_of_a_join_refuses_the_same_way(monkeypatch):
     monkeypatch.setenv("MISFORGE_BUDGET", str(len(join) - 1))
     greedy = make_algorithm("greedy", inst.graph.n_vertices, 1)
     greedy.feed(join)
-    refusals = [greedy.state_words, greedy.message, inst.graph.flat_edges,
+    refusals = [greedy.state_words, lambda: _pack_words(greedy.state_words()),
+                inst.graph.flat_edges,
                 lambda: edge in inst.graph.edges,
                 lambda: EdgeStream.from_instance(inst, order="random", seed=0),
                 lambda: enumerate_all_mis(inst.graph, max_vertices=10**6)]

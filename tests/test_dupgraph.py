@@ -38,7 +38,7 @@ from misforge.dupgraph import DupGraph, DupParams, LayeredGraph, check_key_range
 def with_edges(dup, edges):
     """dup with its edge array replaced by a set of (layer, idx) pairs."""
     g = dup.graph
-    return replace(dup, edges=LayeredGraph(g.num_layers, g.layer_size, frozenset(edges)).edge_array())
+    return replace(dup, edges=LayeredGraph(g.num_layers, g.layer_size, frozenset(edges)).flat_edges())
 
 
 def host(paths, edges, layer_size):

@@ -168,7 +168,7 @@ def shortcut_host():
     g = LayeredGraph(num_layers=3, layer_size=2, edges=frozenset(edges))
     params = DupParams(ell=1, d=1, k=2, p=2, q=1, padded=(0, 0, 0))
     return DupGraph(paths=paths, layer_size=2, params=params, avg_free=None,
-                    edges=g.edge_array())
+                    edges=g.flat_edges())
 
 
 def test_shortcut_host_breaks_inducedness():

@@ -270,7 +270,9 @@ def test_flat_edges_from_the_flat_arrays():
         inst, _ = build_both(shape, 4)
         for node, _ in nodes(inst, inst):
             g = node.graph
-            assert g.flat_edges() == sorted((g.flat_id(u), g.flat_id(v)) for u, v in g.edges)
+            got = g.flat_edges()
+            assert got.dtype == np.int64 and got.shape == (len(g.edges), 2)
+            assert got.tolist() == sorted([g.flat_id(u), g.flat_id(v)] for u, v in g.edges)
 
 
 # -- the stored form ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import subprocess
 import sys
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misforge import (
+    EdgeStream,
     InconsistentMisError,
     InvalidInputError,
     InvalidSequenceError,
+    LubyMIS,
     NotAnMisError,
     ToyParams,
+    drive,
     enumerate_all_mis,
     eval_predicate,
     extract_predicate_from_mis,
@@ -22,6 +26,7 @@ from misforge import (
     sample_instance,
     sample_tree,
 )
+from misforge.dupgraph import Biclique, EdgeView, LayeredGraph
 from misforge.hardness import _base_instance
 from misforge.oracle import _covers
 
@@ -78,6 +83,140 @@ def test_covers_matches_is_mis(n, data):
     want = brute_is_mis(range(n), edges, cand)
     assert is_mis((range(n), edges), cand) == want
     assert _covers([np.array(edges, dtype=np.int64).reshape(-1, 2)], chosen) is want
+
+
+# -- is_mis against the set-based loop it replaced ------------------------------
+
+LABELS = st.integers(-2, 6) | st.sampled_from(["a", "b", (2, 0), (1, 1), 1.0, True, 2.5, "1"])
+
+
+def near_mis(data, vertices, edges, labels):
+    """First fit along a drawn order of the distinct vertices, then maybe
+    one label dropped, or one drawn from labels added."""
+    adj: dict = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    chosen: set = set()
+    for v in data.draw(st.permutations(list(dict.fromkeys(vertices)))):
+        if not adj.get(v, set()) & chosen:
+            chosen.add(v)
+    how = data.draw(st.sampled_from(["keep", "drop", "add"]))
+    if how == "drop" and chosen:
+        chosen.discard(data.draw(st.sampled_from(sorted(chosen, key=repr))))
+    if how == "add":
+        chosen.add(data.draw(labels))
+    return chosen
+
+
+@given(vertices=st.lists(LABELS, max_size=8), data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_is_mis_matches_oracle_on_labels(vertices, data):
+    """Mixed and unorderable labels, equal ones of different types (1, 1.0,
+    True), repeated vertices, self loops, and edges and candidates that
+    reach labels outside the vertex set."""
+    pool = st.sampled_from(vertices) | LABELS if vertices else LABELS
+    edges = data.draw(st.lists(st.tuples(pool, pool), max_size=12))
+    cand = near_mis(data, vertices, edges, pool)
+    assert is_mis((vertices, edges), cand) == mis_oracle.is_mis((vertices, edges), cand)
+
+
+@given(n=st.integers(0, 8), start=st.sampled_from([0, 2]), step=st.sampled_from([1, 1, 2]),
+       data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_is_mis_matches_oracle_on_flat_ids(n, start, step, data):
+    """(range, edges) with negative ids and ids past the range, as an int64
+    or int32 array or as a list of pairs, and labels that equal an int
+    (1.0, True) or only look like one (2.5, "1")."""
+    vertices = range(start, start + step * n, step)
+    ids = st.integers(-3, start + step * n + 2)
+    labels = ids | st.sampled_from([1.0, True, 2.5, "1"])
+    form = data.draw(st.sampled_from(["int64", "int32", "list"]))
+    rows = data.draw(st.lists(st.tuples(*[labels if form == "list" else ids] * 2), max_size=12))
+    cand = near_mis(data, vertices, rows, labels)
+    graph = (vertices, rows if form == "list" else np.array(rows, form).reshape(-1, 2))
+    assert is_mis(graph, cand) == mis_oracle.is_mis(graph, cand)
+
+
+def test_is_mis_takes_a_label_as_a_set_would():
+    """A label is the vertex it equals (1.0 and True are 1), and nothing
+    that only converts to one (2.5, "1", the pair (1, 0) as a range)."""
+    path = (range(3), np.array([[0, 1], [1, 2]]))
+    layered = LayeredGraph(2, 1, EdgeView((np.array([[0, 1]]),), 1, 2))
+    cases = [(path, {0.0, 2}, True), (path, {True}, True), (path, {0, 2, 2.5}, False),
+             (path, {0, 2, "1"}, False), (path, {1.5}, False),
+             (layered, {(1.0, 0)}, True), (layered, {(True, False)}, True),
+             (layered, {(1, 0), (2.5, 0)}, False), (layered, {(1, 0), ("2", 0)}, False),
+             (layered, {range(1, -1, -1)}, False)]
+    for graph, cand, want in cases:
+        assert is_mis(graph, cand) is mis_oracle.is_mis(graph, cand) is want, cand
+
+
+@functools.lru_cache
+def r2_toy(seed):
+    """A toy r=2 instance whose join is a Biclique, and Luby's MIS of it
+    as (layer, idx) labels."""
+    inst = sample_instance(2, ToyParams(n_0=2, levels=((1, 1), (1, 1))), seed)
+    assert isinstance(inst.player_edges[-1], Biclique)
+    size = inst.graph.layer_size
+    out = drive(LubyMIS(inst.graph.n_vertices, seed), EdgeStream.from_instance(inst)).output
+    return inst, frozenset((f // size + 1, f % size) for f in out)
+
+
+@given(seed=st.integers(0, 3), pick=st.integers(0, 10**6),
+       how=st.sampled_from(["keep", "drop", "add", "foreign", "x"]))
+@settings(deadline=None, max_examples=60)
+def test_is_mis_matches_oracle_on_a_layered_join(seed, pick, how):
+    """A LayeredGraph whose join is a Biclique, Luby's MIS with a vertex
+    dropped or added, or with (99, 0) or "x" added; the same set as flat
+    ids over flat_edges() gets the same answer."""
+    inst, s = r2_toy(seed)
+    g = inst.graph
+    members, others = sorted(s), sorted(set(g.vertices()) - s)
+    cand = {"keep": s, "drop": s - {members[pick % len(members)]},
+            "add": s | {others[pick % len(others)]}, "foreign": s | {(99, 0)}, "x": s | {"x"}}[how]
+    want = mis_oracle.is_mis(g, cand)
+    assert is_mis(g, cand) == want and want == (how == "keep")
+    if how in ("keep", "drop", "add"):
+        assert is_mis((range(g.n_vertices), g.flat_edges()), {g.flat_id(v) for v in cand}) == want
+
+
+def test_is_mis_foreign_endpoints():
+    """An edge to an id outside the graph, negative or too large, fails a
+    set only where a chosen vertex meets it, in every edge form; no id
+    wraps around."""
+    layered = LayeredGraph(2, 2, EdgeView((np.array([[-1, 0], [1, 4]]),
+                                           Biclique(np.array([0, 9]), np.array([2, 3]))), 2, 4))
+    graphs = [(range(3), np.array([[0, 3], [-1, 1], [-3, 5]])),
+              ([0, 1, 2], [(0, 3), (-1, 1), (7, 8)]),
+              (range(3), [(2, -1)]),
+              layered]
+    for graph in graphs:
+        vertices = list(range(3)) if isinstance(graph, tuple) else list(layered.vertices())
+        for size in range(len(vertices) + 1):
+            for cand in itertools.combinations(vertices, size):
+                assert is_mis(graph, cand) == mis_oracle.is_mis(graph, cand), (graph, cand)
+    assert not is_mis((range(3), np.array([[0, -1]])), {0, 1, 2})
+    assert is_mis((range(3), np.array([[-1, -3]])), {0, 1, 2})
+
+
+def test_mis_checks_take_the_join_in_closed_form(monkeypatch):
+    """With EdgeView iteration and Biclique.expand refused, is_mis on a
+    LayeredGraph and extract_predicate_from_mis still answer."""
+    inst, s = r2_toy(0)
+    seq = (1,) * inst.r
+    want = eval_predicate(inst, seq)
+
+    def refuse(*args):
+        raise AssertionError("the join was iterated or expanded")
+
+    monkeypatch.setattr(EdgeView, "__iter__", refuse)
+    monkeypatch.setattr(Biclique, "expand", refuse)
+    assert is_mis(inst.graph, s)
+    assert not is_mis(inst.graph, s - {min(s)})
+    assert extract_predicate_from_mis(inst, s, seq) == want
+    with pytest.raises(NotAnMisError):
+        extract_predicate_from_mis(inst, s | {(99, 0)}, seq)
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -22,7 +22,7 @@ from misforge import (
     simulate_protocol_from_stream,
 )
 from misforge.dupgraph import expand
-from misforge.streaming import drive
+from misforge.streaming import _pack_words, drive
 
 DESCS = ("luby", "greedy", "residual:b=4", "residual:b=2", "residual:s={a},{b},all")
 
@@ -35,7 +35,7 @@ def run_both(desc: str, n: int, seed: int, sections: list[list[tuple[int, int]]]
     """Kernel and oracle runs over the same sections, with boundary snapshots."""
     got_snaps, want_snaps = [], []
     rep = drive(make_algorithm(desc, n, seed), EdgeStream(sections),
-                lambda p, o, runner: got_snaps.append((p, o, runner.message())))
+                lambda p, o, runner: got_snaps.append((p, o, _pack_words(runner.state_words()))))
     want = oracle.drive(oracle.make_algorithm(desc, n, seed), sections,
                         lambda p, o, words: want_snaps.append((p, o, oracle.pack_words(words))))
     return rep, want, got_snaps, want_snaps
@@ -97,7 +97,7 @@ def test_kernels_match_oracle_on_instances(graph_seed, seed, template, levels):
     assert sim.transcript.max_message_bits == 8 * max(map(len, padded))
     got: dict[int, list[bytes]] = {}
     drive(make_algorithm(desc, n, seed), EdgeStream.from_instance(inst),
-          lambda p, o, runner: got.setdefault(p, []).append(runner.message()))
+          lambda p, o, runner: got.setdefault(p, []).append(_pack_words(runner.state_words())))
     assert got == raw
     assert sim.transcript.answer == oracle.pack_words(sorted(want["output"]))
     assert sim.k == len(sections)

@@ -1,11 +1,10 @@
 """Runner memory and protocol messages counted without a snapshot.
 
 ``drive`` takes the peak from ``words()``, a closed-form count, and hands
-a hook the runner, which asks for ``message()`` only when it wants the
-snapshot.  On every runner, at every point where ``drive`` samples,
-``words()`` must equal ``len(state_words())`` and ``message()`` must
-equal the packed snapshot; with no hook, and in the protocol simulation,
-no snapshot is built at all.
+a hook the runner, which asks for ``state_words()``, the message, only
+when it wants the snapshot.  On every runner, at every point where
+``drive`` samples, ``words()`` must equal ``len(state_words())``; with no
+hook, and in the protocol simulation, no snapshot is built at all.
 """
 
 import numpy as np
@@ -41,10 +40,10 @@ def descriptor(template, n):
 
 
 def checked_run(desc, n, seed, sections):
-    """drive with a hook, every words() and message() checked against the
-    snapshot; the report and the number of samples taken."""
+    """drive with a hook that packs every message, every words() checked
+    against the snapshot; the report."""
     alg = make_algorithm(desc, n, seed)
-    words, message, samples = alg.words, alg.message, []
+    words, samples = alg.words, []
 
     def counted():
         count = words()
@@ -52,14 +51,10 @@ def checked_run(desc, n, seed, sections):
         samples.append(count)
         return count
 
-    def packed():
-        got = message()
-        assert got == _pack_words(alg.state_words())
-        return got
-
-    alg.words, alg.message = counted, packed
+    alg.words = counted
     messages = []
-    rep = drive(alg, EdgeStream(sections), lambda p, o, runner: messages.append(runner.message()))
+    rep = drive(alg, EdgeStream(sections),
+                lambda p, o, runner: messages.append(_pack_words(runner.state_words())))
     # residual also counts at the end of each store pass, for its phase peak
     assert len(samples) >= rep.passes * (len(sections) + 2)
     assert len(messages) == rep.passes * len(sections)
@@ -92,7 +87,7 @@ def test_no_snapshot_without_a_hook(template):
     def refuse():
         raise AssertionError("a snapshot was built")
 
-    alg.state_words = alg.message = refuse
+    alg.state_words = refuse
     want = drive(make_algorithm(descriptor(template, n), n, 1), EdgeStream(inst.player_edges))
     got = drive(alg, EdgeStream(inst.player_edges))
     assert (got.output, got.passes, got.peak_words) == (want.output, want.passes,
@@ -105,8 +100,8 @@ def test_greedy_message_is_its_packed_buffer():
     greedy = BufferedGreedyMIS(101, 0)
     for section in (edges, join):
         greedy.feed(section)
-        first = greedy.message()
-        assert greedy.message() == first == _pack_words(greedy.state_words())
+        first = _pack_words(greedy.state_words())
+        assert _pack_words(greedy.state_words()) == first
     assert first == np.concatenate([edges, join.expand()]).astype(">u8").tobytes()
     assert greedy.words() == 2 * (2 + 12) == len(first) // 8
 
@@ -119,7 +114,7 @@ RUNNERS = (_Runner, LubyMIS, BufferedGreedyMIS, ResidualSparsityMIS)
        levels=st.sampled_from([((1, 1),), ((2, 1),), ((1, 1), (1, 1))]))
 @settings(deadline=None, max_examples=50)
 def test_simulation_counts_messages_without_building_them(graph_seed, seed, desc, levels):
-    """Every runner's snapshot and message refused: the simulation still
+    """Every runner's snapshot refused: the simulation still
     gives the transcript of the per-edge oracle's packed, padded messages."""
     inst = sample_instance(len(levels), ToyParams(n_0=4 if len(levels) == 1 else 2,
                                                   levels=levels), graph_seed)
@@ -135,7 +130,6 @@ def test_simulation_counts_messages_without_building_them(graph_seed, seed, desc
     with pytest.MonkeyPatch.context() as mp:
         for cls in RUNNERS:
             mp.setattr(cls, "state_words", refuse, raising=False)
-            mp.setattr(cls, "message", refuse)
         sim = simulate_protocol_from_stream(desc, inst, seed)
     assert sim.transcript.cc_bits == sum(8 * len(msgs) * max(msgs) for msgs in lengths.values())
     assert sim.transcript.max_message_bits == 8 * max(map(max, lengths.values()))
