@@ -2,9 +2,9 @@
 
 Works over any graph object exposing vertices and edges: LayeredGraph,
 a streaming FlatGraph, or a plain (vertices, edges) pair.  is_mis and
-extract_predicate_from_mis check a set as one mask over flat ids, with
-one numpy pass over the edge sections, so no edge becomes a tuple; only
-enumeration and greedy sort the graph into tuple lists.
+enumerate_all_mis read the graph through one adapter, ``_flat``: a map
+from labels to flat ids and the edges as flat-id sections, so no edge
+becomes a tuple.  Only greedy_mis sorts the vertex set.
 
 The predicate operations walk a recursive hard instance: a search
 sequence K = (k_r, ..., k_1) picks one special sub-instance per level,
@@ -19,13 +19,14 @@ reads the constructed truth.
 
 from __future__ import annotations
 
+import operator
 from contextlib import suppress
 from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dupgraph import Biclique, EdgeView, LayeredGraph, path_lut
+from .dupgraph import Biclique, EdgeView, LayeredGraph, path_lut, stack_edges
 from .errors import (
     BudgetExceededError,
     InconsistentMisError,
@@ -48,51 +49,43 @@ def _vertices_and_edges(graph) -> tuple[Iterable, Iterable]:
     raise InvalidInputError(f"unsupported graph object: {type(graph).__name__}")
 
 
-def vertex_edge_view(graph) -> tuple[list, list]:
-    """Normalize the supported graph shapes to sorted (vertices, edges)."""
-    vertices, edges = _vertices_and_edges(graph)
-    return sorted(vertices), sorted(tuple(e) for e in edges)
-
-
-def _as_int(x) -> int | None:
-    """The int that x equals, as a set of ints would match it, or None."""
-    try:
-        return i if (i := int(x)) == x else None
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def _label_map(vertices) -> tuple[int, Callable[[list], np.ndarray]]:
     """The vertex count n and a map from a list of labels to their vertices'
-    positions in 0..n-1, n for anything that is not a vertex: a
-    LayeredGraph's (layer, idx) to its flat id and a range's ints to their
-    index by arithmetic (ints all at once), other labels through one dict."""
-    if isinstance(vertices, LayeredGraph):
-        layers, size, n = vertices.num_layers, vertices.layer_size, vertices.n_vertices
-
-        def pos(v) -> int:
-            if isinstance(v, tuple) and len(v) == 2:
-                layer, idx = map(_as_int, v)
-                if layer is not None and idx is not None and 0 < layer <= layers and 0 <= idx < size:
-                    return (layer - 1) * size + idx
-            return n
-        return n, lambda labels: np.fromiter(map(pos, labels), np.int64, len(labels))
-    if isinstance(vertices, range):
-        n, start, step = len(vertices), vertices.start, vertices.step
-
-        def positions(labels: list) -> np.ndarray:
-            with suppress(ValueError, OverflowError):
-                if (ids := np.array(labels)).dtype.kind == "i" and ids.ndim == 1:
-                    ids, off = np.divmod(ids.astype(np.int64) - start, step)
-                    return _in_range(np.where(off == 0, ids, -1), n)
-            return np.fromiter((vertices.index(i) if (i := _as_int(x)) is not None and i in vertices
-                                else n for x in labels), np.int64, len(labels))
-        return n, positions
+    positions in 0..n-1, n for anything that is not a vertex.  A label is
+    found as a set finds it, through one dict over the vertices: 1.0 and
+    True are 1, (1.0, 0) is (1, 0), and "1", 2.5 or a range are nothing.
+    Plain ints over a range and plain (layer, idx) int tuples over a
+    LayeredGraph are mapped by numpy arithmetic, so there the dict is built
+    only when a label that is not plain arrives."""
     index: dict = {}
-    for v in vertices:
-        index.setdefault(v, len(index))
-    n = len(index)
-    return n, lambda labels: np.fromiter(map(index.get, labels, repeat(n)), np.int64, len(labels))
+    layered = isinstance(vertices, LayeredGraph)
+
+    def by_dict(labels: list) -> np.ndarray:
+        if not index:
+            for v in vertices.vertices() if layered else vertices:
+                index.setdefault(v, len(index))
+        return np.fromiter(map(index.get, labels, repeat(len(index))), np.int64, len(labels))
+
+    if not (layered or isinstance(vertices, range)):        # no arithmetic applies
+        by_dict([])
+        return len(index), by_dict
+    n = vertices.n_vertices if layered else len(vertices)
+
+    def positions(labels: list) -> np.ndarray:
+        with suppress(ValueError, OverflowError):       # ragged or huge labels are not plain
+            if not labels:
+                return np.zeros(0, np.int64)
+            if not layered:
+                if (ids := np.array(labels)).dtype.kind == "i" and ids.ndim == 1:
+                    ids, off = np.divmod(ids.astype(np.int64) - vertices.start, vertices.step)
+                    return _in_range(np.where(off == 0, ids, -1), n)
+            elif all(type(x) is tuple for x in labels):     # a range would pass as a pair too
+                if (ids := np.array(labels)).dtype.kind == "i" and ids.shape == (len(labels), 2):
+                    (layer, idx), size = ids.T, vertices.layer_size
+                    ok = (0 < layer) & (layer <= vertices.num_layers) & (0 <= idx) & (idx < size)
+                    return np.where(ok, (layer - 1) * size + idx, n)
+        return by_dict(labels)
+    return n, positions
 
 
 def _mask(n: int, positions: Callable[[list], np.ndarray], candidate: Iterable) -> np.ndarray:
@@ -111,22 +104,15 @@ def _in_range(ids: np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
-def is_mis(graph, candidate: Iterable) -> bool:
-    """True iff candidate is an independent dominating set of graph.
-
-    The candidate becomes one mask over vertex positions (``_label_map``)
-    and the edges flat-id sections: a LayeredGraph's EdgeView parts,
-    arrays and Bicliques, and an integer (m, 2) array over range(n) as
-    they are, other label pairs mapped in one step.  One ``_dominated``
-    pass decides.  A label that is not a vertex fails the set, and so does
-    an edge from a chosen vertex to one outside the graph.  Nothing is
-    sorted, so unorderable labels work.
-    """
-    vertices, edges = _vertices_and_edges(graph)
-    if isinstance(graph, LayeredGraph):
-        vertices = graph
+def _flat(graph) -> tuple[int, Callable[[list], np.ndarray], list]:
+    """The graph as its vertex count n, its label map (``_label_map``) and
+    its edges as flat-id sections over 0..n, n standing in for every
+    endpoint that is not a vertex: a LayeredGraph's EdgeView parts and an
+    integer (m, 2) array over range(n) as they are, other label pairs
+    mapped in one step.  Nothing is sorted, so unorderable labels work."""
+    vertices, edges = (graph, graph.edges) if isinstance(graph, LayeredGraph) \
+        else _vertices_and_edges(graph)
     n, positions = _label_map(vertices)
-    chosen = _mask(n, positions, candidate)     # a chosen stand-in is never undominated
     if isinstance(edges, EdgeView) and vertices is graph and edges.layer_size == graph.layer_size:
         parts = edges.parts
     elif (isinstance(vertices, range) and vertices == range(n) and isinstance(edges, np.ndarray)
@@ -134,8 +120,17 @@ def is_mis(graph, candidate: Iterable) -> bool:
         parts = (edges,)
     else:
         parts = (positions([x for u, v in edges for x in (u, v)]).reshape(-1, 2),)
-    sections = [Biclique(_in_range(p.left, n), _in_range(p.right, n)) if isinstance(p, Biclique)
-                else _in_range(p, n) for p in parts]
+    return n, positions, [Biclique(_in_range(p.left, n), _in_range(p.right, n))
+                          if isinstance(p, Biclique) else _in_range(p, n) for p in parts]
+
+
+def is_mis(graph, candidate: Iterable) -> bool:
+    """True iff candidate is an independent dominating set of graph: one
+    ``_dominated`` pass over ``_flat``'s sections with the candidate as a
+    mask.  A label that is not a vertex fails the set, and so does an edge
+    from a chosen vertex to one outside the graph."""
+    n, positions, sections = _flat(graph)
+    chosen = _mask(n, positions, candidate)     # a chosen stand-in is never undominated
     dominated = _dominated(sections, chosen)
     return dominated is not None and bool(dominated[:n].all()) and not dominated[n]
 
@@ -183,19 +178,19 @@ def _bits(mask: int) -> Iterator[int]:
 def enumerate_all_mis(graph, max_vertices: int = 24) -> list[frozenset]:
     """Every maximal independent set, by Bron-Kerbosch with pivoting over
     int bitmasks: a vertex's mask is its closed neighbourhood, the set
-    that choosing it removes from the candidates."""
-    vertices, edges = vertex_edge_view(graph)
-    if len(vertices) > max_vertices:
-        raise BudgetExceededError(
-            f"{len(vertices)} vertices exceed the enumeration cap {max_vertices}"
-        )
-    names = list(dict.fromkeys(vertices))
-    index = {v: i for i, v in enumerate(names)}
-    closed = [1 << i for i in range(len(names))]
-    for u, v in edges:
-        if u in index and v in index:
-            closed[index[u]] |= 1 << index[v]
-            closed[index[v]] |= 1 << index[u]
+    that choosing it removes from the candidates.  The masks come from
+    ``_flat``'s sections, a join expanded under its cap; an endpoint that
+    is not a vertex sets the stand-in bit n, which no search reaches."""
+    if max_vertices < 0:
+        raise InvalidInputError(f"the enumeration cap {max_vertices} is negative")
+    n, _, sections = _flat(graph)
+    if n > max_vertices:
+        raise BudgetExceededError(f"{n} vertices exceed the enumeration cap {max_vertices}")
+    names = list(dict.fromkeys(_vertices_and_edges(graph)[0]))     # in position order
+    closed = [1 << i for i in range(n + 1)]
+    for u, v in stack_edges(sections).tolist():
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
     found: list[int] = []
 
     def expand(chosen: int, cand: int, excl: int) -> None:
@@ -210,14 +205,14 @@ def enumerate_all_mis(graph, max_vertices: int = 24) -> list[frozenset]:
                 cand ^= 1 << v
                 excl |= 1 << v
 
-    expand(0, (1 << len(names)) - 1, 0)
+    expand(0, (1 << n) - 1, 0)
     return sorted((frozenset(names[i] for i in _bits(m)) for m in found), key=sorted)
 
 
 def greedy_mis(graph, order: Iterable) -> frozenset:
     """First-fit along the given vertex order."""
-    vertices, edges = vertex_edge_view(graph)
-    order = list(order)
+    vertices, edges = _vertices_and_edges(graph)
+    vertices, order = sorted(vertices), list(order)
     if sorted(order) != vertices:
         raise InvalidInputError("order must be a permutation of the vertex set")
     adj: dict = {v: set() for v in vertices}
@@ -233,27 +228,30 @@ def greedy_mis(graph, order: Iterable) -> frozenset:
     return frozenset(chosen)
 
 
-def _validate_sequence(inst, seq: SearchSequence) -> None:
+def _follow_sequence(inst, seq: SearchSequence):
+    """The sub-instance that seq's special path reaches; InvalidSequenceError
+    for a wrong length or an entry that is not an int in range."""
     if len(seq) != inst.r:
         raise InvalidSequenceError(
             f"sequence length {len(seq)} does not match recursion depth {inst.r}"
         )
     cur = inst
     for depth, k in enumerate(seq):
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise InvalidSequenceError(f"entry {k!r} at position {depth} is not an int") from None
         if not 1 <= k <= cur.p_achieved:
             raise InvalidSequenceError(
                 f"entry {k} at position {depth} outside 1..{cur.p_achieved}"
             )
         cur = cur.subinstance(cur.t, k)
+    return cur
 
 
 def eval_predicate(inst, seq: SearchSequence) -> PredicateBits:
     """Read the base bits reached by following the special sub-instances."""
-    _validate_sequence(inst, tuple(seq))
-    cur = inst
-    for k in seq:
-        cur = cur.subinstance(cur.t, k)
-    return cur.base_bits
+    return _follow_sequence(inst, tuple(seq)).base_bits
 
 
 def extract_predicate_from_mis(inst, candidate: Iterable, seq: SearchSequence) -> PredicateBits:
@@ -267,7 +265,7 @@ def extract_predicate_from_mis(inst, candidate: Iterable, seq: SearchSequence) -
     mask and pulls it back in one indexing step.
     """
     seq = tuple(seq)
-    _validate_sequence(inst, seq)
+    _follow_sequence(inst, seq)
     n, positions = _label_map(inst.graph)
     chosen = _mask(n, positions, candidate)
     if chosen[n] or not _covers(inst.player_edges, chosen[:n]):

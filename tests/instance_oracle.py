@@ -42,7 +42,7 @@ from misforge.errors import (
     InvalidInputError,
     NotAnMisError,
 )
-from misforge.oracle import _validate_sequence
+from misforge.oracle import _follow_sequence
 from misforge.report import VerificationReport
 from mis_oracle import is_mis
 
@@ -273,7 +273,7 @@ def extract_predicate_from_mis(inst, candidate, seq) -> str:
     """The bits from a maximal independent set alone, over vertex sets:
     restrict to each special subgraph, L copy first, and pull back."""
     seq = tuple(seq)
-    _validate_sequence(inst, seq)
+    _follow_sequence(inst, seq)
     s = set(candidate)
     if not is_mis(inst.graph, s):
         raise NotAnMisError("candidate is not a maximal independent set of the instance")

@@ -4,7 +4,8 @@
 mask check over edge sections; ``is_mis`` here is the set-based loop it
 replaced, one ``(u, v)`` pair per edge.  ``misforge.oracle.enumerate_all_mis``
 runs its own Bron-Kerbosch search over bitmasks; ``enumerate_all_mis``
-here is the networkx complement-clique version it replaced.
+here is the networkx complement-clique version it replaced, over the
+sorted tuple view ``vertex_edge_view``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from itertools import combinations
 import networkx as nx
 
 from misforge.errors import BudgetExceededError
-from misforge.oracle import _vertices_and_edges, vertex_edge_view
+from misforge.oracle import _vertices_and_edges
+
+
+def vertex_edge_view(graph) -> tuple[list, list]:
+    """Normalize the supported graph shapes to sorted (vertices, edges)."""
+    vertices, edges = _vertices_and_edges(graph)
+    return sorted(vertices), sorted(tuple(e) for e in edges)
 
 
 def is_mis(graph, candidate) -> bool:

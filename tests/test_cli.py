@@ -179,6 +179,19 @@ def test_predicate_k_out_of_range(tmp_path):
     assert main(["predicate", "--in", str(out), "--K", "5"]) == 2
 
 
+def test_predicate_cross_check_cap(tmp_path, capsys):
+    """A cap below the vertex count is a budget overrun (exit 3); a negative
+    cap is invalid input (exit 2)."""
+    out = tmp_path / "t.misr"
+    main(["gen-instance", "--r", "1", "--n0", "4", "--toy", "1,1",
+          "--seed", "7", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["predicate", "--in", str(out), "--cross-check", "--max-vertices", "1"]) == 3
+    assert "exceed the enumeration cap 1" in capsys.readouterr().err
+    assert main(["predicate", "--in", str(out), "--cross-check", "--max-vertices", "-1"]) == 2
+    assert "invalid input: the enumeration cap -1 is negative" in capsys.readouterr().err
+
+
 def test_bench_row_count(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

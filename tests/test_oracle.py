@@ -28,7 +28,7 @@ from misforge import (
 )
 from misforge.dupgraph import Biclique, EdgeView, LayeredGraph
 from misforge.hardness import _base_instance
-from misforge.oracle import _covers
+from misforge.oracle import _covers, _label_map
 
 from conftest import brute_all_mis, brute_is_mis
 from instance_oracle import Subgraph
@@ -152,6 +152,41 @@ def test_is_mis_takes_a_label_as_a_set_would():
         assert is_mis(graph, cand) is mis_oracle.is_mis(graph, cand) is want, cand
 
 
+SMALL = st.integers(-2, 5)
+PLAIN_PAIRS = (st.tuples(SMALL, SMALL)
+               | st.tuples(SMALL, SMALL).map(lambda t: (np.int64(t[0]), np.int32(t[1]))))
+OTHER_PAIRS = (st.tuples(SMALL | st.sampled_from([1.0, 2.5, True]),
+                         SMALL | st.sampled_from([0.0, False]))
+               | st.builds(range, SMALL, SMALL, st.sampled_from([1, -1]))
+               | SMALL | st.sampled_from(["a", (1,), (1, 0, 0), (1, (0,)), (1, "0")]))
+PLAIN_INTS = SMALL | SMALL.map(np.int64) | st.integers(2**40, 2**62)
+OTHER_INTS = st.sampled_from([1.0, 2.5, True, False, "1", (1, 0), range(1, 3), 2**70])
+
+
+@given(layered=st.booleans(), shape=st.tuples(st.integers(1, 3), st.integers(0, 4)),
+       start=st.integers(-3, 3), step=st.sampled_from([1, 2, 3, -1, -2]),
+       plain=st.booleans(), data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_label_map_matches_a_dict(layered, shape, start, step, plain, data):
+    """_label_map's positions against one dict over the vertices, on a
+    LayeredGraph and on a range, with labels all plain (the arithmetic)
+    or mixed with floats, bools, ranges, strings, and pairs of another
+    length or type (the dict)."""
+    if layered:
+        vertices = LayeredGraph(*shape, EdgeView((), shape[1], shape[0] * shape[1]))
+        pool = PLAIN_PAIRS if plain else PLAIN_PAIRS | OTHER_PAIRS
+    else:
+        vertices = range(start, start + step * shape[0] * shape[1], step)
+        pool = PLAIN_INTS if plain else PLAIN_INTS | OTHER_INTS
+    labels = data.draw(st.lists(pool, max_size=10))
+    index: dict = {}
+    for v in vertices.vertices() if layered else vertices:
+        index.setdefault(v, len(index))
+    n, positions = _label_map(vertices)
+    assert n == len(index)
+    assert positions(labels).tolist() == [index.get(x, n) for x in labels], labels
+
+
 @functools.lru_cache
 def r2_toy(seed):
     """A toy r=2 instance whose join is a Biclique, and Luby's MIS of it
@@ -200,20 +235,23 @@ def test_is_mis_foreign_endpoints():
     assert is_mis((range(3), np.array([[-1, -3]])), {0, 1, 2})
 
 
+def refuse(*args):
+    raise AssertionError("the graph was listed, or its join iterated or expanded")
+
+
 def test_mis_checks_take_the_join_in_closed_form(monkeypatch):
-    """With EdgeView iteration and Biclique.expand refused, is_mis on a
-    LayeredGraph and extract_predicate_from_mis still answer."""
+    """With EdgeView iteration, Biclique.expand and LayeredGraph.vertices
+    refused, is_mis on a LayeredGraph and extract_predicate_from_mis still
+    answer on (layer, idx) int labels."""
     inst, s = r2_toy(0)
     seq = (1,) * inst.r
     want = eval_predicate(inst, seq)
-
-    def refuse(*args):
-        raise AssertionError("the join was iterated or expanded")
-
     monkeypatch.setattr(EdgeView, "__iter__", refuse)
     monkeypatch.setattr(Biclique, "expand", refuse)
+    monkeypatch.setattr(LayeredGraph, "vertices", refuse)
     assert is_mis(inst.graph, s)
     assert not is_mis(inst.graph, s - {min(s)})
+    assert not is_mis(inst.graph, set())
     assert extract_predicate_from_mis(inst, s, seq) == want
     with pytest.raises(NotAnMisError):
         extract_predicate_from_mis(inst, s | {(99, 0)}, seq)
@@ -263,15 +301,30 @@ def test_enumerate_matches_networkx_oracle(n, density, data):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_enumerate_matches_networkx_oracle_on_instances(seed):
-    """Criterion 5's shapes, every one at most 24 vertices."""
+def test_enumerate_matches_networkx_oracle_on_instances(seed, monkeypatch):
+    """Criterion 5's shapes, every one at most 24 vertices, with the
+    EdgeView never iterated: the join is read as a section."""
     n0, levels = [(4, None), (4, ((1, 1),)), (2, ((1, 1),)), (2, ((2, 1),))][seed % 4]
     if levels is None:
         inst = _base_instance(n0, format(seed * 37 % 4, "02b"))
     else:
         inst = sample_instance(len(levels), ToyParams(n_0=n0, levels=levels), seed)
     want = mis_oracle.enumerate_all_mis(inst.graph)
+    monkeypatch.setattr(EdgeView, "__iter__", refuse)
     assert enumerate_all_mis(inst.graph) == want and len(want) >= 1
+
+
+EQUAL_LABELS = st.sampled_from([0, 1, 2, 3, 4, 1.0, True, 2.0, False])
+
+
+@given(vertices=st.lists(EQUAL_LABELS, max_size=10), data=st.data())
+@settings(deadline=None, max_examples=60)
+def test_enumerate_matches_networkx_oracle_on_labels(vertices, data):
+    """Equal labels of different types (1, 1.0, True), repeated vertices,
+    self loops and edges to labels that are not vertices (-1, 2.5, 7)."""
+    ends = EQUAL_LABELS | st.sampled_from([-1, 2.5, 7])
+    edges = data.draw(st.lists(st.tuples(ends, ends), max_size=12))
+    assert enumerate_all_mis((vertices, edges)) == mis_oracle.enumerate_all_mis((vertices, edges))
 
 
 def test_import_leaves_networkx_out():
@@ -335,6 +388,19 @@ def test_sequence_validation():
         eval_predicate(inst, (2,))      # p = 1 at the root
     with pytest.raises(InvalidSequenceError):
         eval_predicate(inst, (1, 1))
+
+
+def test_sequence_entries_are_ints():
+    """An entry that is not an int ("1", 1.0) is an invalid sequence in
+    evaluation and extraction alike; True is 1."""
+    inst, s = r2_toy(0)
+    want = eval_predicate(inst, (1, 1))
+    for seq in [("1", 1), (1, 1.0)]:
+        with pytest.raises(InvalidSequenceError, match="is not an int"):
+            eval_predicate(inst, seq)
+        with pytest.raises(InvalidSequenceError, match="is not an int"):
+            extract_predicate_from_mis(inst, s, seq)
+    assert eval_predicate(inst, (True, 1)) == extract_predicate_from_mis(inst, s, (1, True)) == want
 
 
 def test_valid_sequence_count():
